@@ -37,7 +37,6 @@ from .discrimination import (
 )
 from .quantum import (
     CurvePoint,
-    ThetaProtocol,
     curve,
     curve_csv,
     grouping,

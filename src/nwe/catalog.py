@@ -34,9 +34,7 @@ from .composition import (
     kron,
     product_prob,
 )
-from .systems import DEFAULT_EPS, make_bloch_circle, make_polygon, prob
-
-CATALOG_IDS = ("s4", "s5", "s6", "s7", "q3")
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, make_bloch_circle, make_polygon, prob
 
 __all__ = [
     "CATALOG_IDS",
@@ -45,9 +43,11 @@ __all__ = [
     "Q3_ANGLES",
     "SearchSpaceTooLarge",
     "biased",
+    "default_measurements",
     "load",
     "load_measurement",
     "search_perfect_separable",
+    "state_labels",
     "uniform",
 ]
 
@@ -80,6 +80,20 @@ Q3_ANGLES = (
     (_PI, 1.5 * _PI, 0.0),
 )
 
+# Finite default measurement set of a Bloch-circle party: the computational
+# (Z) and conjugate (X) bases.
+_CIRCLE_BASES = ((0.0, _PI), (0.5 * _PI, 1.5 * _PI))
+
+# Per-state factor tables by id, with the polygon size (None: Bloch circle).
+_STATE_TABLES = {
+    "s4": (4, _S4_STATES),
+    "s5": (5, _S5_STATES),
+    "s6": (6, _S67_STATES),
+    "s7": (7, _S67_STATES),
+    "q3": (None, Q3_ANGLES),
+}
+CATALOG_IDS = tuple(_STATE_TABLES)
+
 # Discriminating measurements as per-party factor tags:
 # ("e", i) is the ray-extremal e_i, ("c", i) its complement ebar_i.
 _MEASUREMENT_TABLES = {
@@ -105,17 +119,9 @@ _MEASUREMENT_TABLES = {
         (("e", 3), ("e", 1), ("e", 0)),
         (("e", 3), ("e", 4), ("e", 0)),
     ),
-    "s7": (
-        (("e", 0), ("e", 0), ("e", 0)),
-        (("c", 0), ("c", 0), ("c", 0)),
-        (("e", 1), ("e", 0), ("c", 0)),
-        (("c", 1), ("e", 0), ("c", 0)),
-        (("e", 0), ("c", 0), ("e", 1)),
-        (("e", 0), ("c", 0), ("c", 1)),
-        (("c", 0), ("e", 1), ("e", 0)),
-        (("c", 0), ("c", 1), ("e", 0)),
-    ),
 }
+# The heptagon shares the pentagon's odd-n complement pattern.
+_MEASUREMENT_TABLES["s7"] = _MEASUREMENT_TABLES["s5"]
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class NamedEnsemble:
     def __post_init__(self):
         if len(self.states) != len(self.priors):
             raise ValueError("one prior per state required")
-        if np.any(self.priors < 0) or abs(float(self.priors.sum()) - 1.0) > 1e-12:
+        if np.any(self.priors < 0) or abs(float(self.priors.sum()) - 1.0) > COMPLETENESS_TOL:
             raise ValueError("priors must be nonnegative and sum to 1")
 
     @property
@@ -175,36 +181,41 @@ class NamedEnsemble:
         return self.composite.arity
 
 
-def load(ensemble_id: str, priors: PriorFamily | None = None, eps: float = DEFAULT_EPS) -> NamedEnsemble:
+def load(ensemble_id: str, priors: PriorFamily | None = None) -> NamedEnsemble:
     """Build a cataloged ensemble with the requested prior family (default uniform)."""
+    if ensemble_id not in _STATE_TABLES:
+        raise KeyError(f"unknown ensemble id {ensemble_id!r}; choose from {CATALOG_IDS}")
     if priors is None:
         priors = uniform()
-    if ensemble_id == "s4":
-        sq = make_polygon(4, eps)
-        parts = (sq, sq)
-        states = tuple(ProductState(tuple(sq.pure_state(i) for i in idx)) for idx in _S4_STATES)
-    elif ensemble_id in ("s5", "s6", "s7"):
-        n = int(ensemble_id[1])
-        poly = make_polygon(n, eps)
-        parts = (poly, poly, poly)
-        table = _S5_STATES if n == 5 else _S67_STATES
-        states = tuple(ProductState(tuple(poly.pure_state(i) for i in idx)) for idx in table)
-    elif ensemble_id == "q3":
-        circ = make_bloch_circle(eps)
-        parts = (circ, circ, circ)
-        states = tuple(ProductState(tuple(circ.state_at(a) for a in angles)) for angles in Q3_ANGLES)
-    else:
-        raise KeyError(f"unknown ensemble id {ensemble_id!r}; choose from {CATALOG_IDS}")
+    n, table = _STATE_TABLES[ensemble_id]
+    part = make_bloch_circle() if n is None else make_polygon(n)
+    factor = part.state_at if n is None else part.pure_state
+    states = tuple(ProductState(tuple(factor(x) for x in row)) for row in table)
+    parts = (part,) * len(table[0])
     return NamedEnsemble(ensemble_id, CompositeSystem(parts), states, priors.weights(len(states)))
 
 
-def load_measurement(ensemble_id: str, eps: float = DEFAULT_EPS) -> SeparableMeasurement:
+def state_labels(ensemble_id: str) -> tuple:
+    """Per-state factor labels: w<i> for polygon pure states, a=<angle> on the Bloch circle."""
+    n, table = _STATE_TABLES[ensemble_id]
+    label = (lambda a: f"a={a:.10g}") if n is None else (lambda i: f"w{i}")
+    return tuple(" x ".join(label(x) for x in row) for row in table)
+
+
+def default_measurements(part) -> list:
+    """A party's default measurements: every binary extremal one of a polygon, the Z and X bases on the circle."""
+    if part.kind == "bloch_circle":
+        return [np.stack([part.effect_at(a), part.effect_at(b)]) for a, b in _CIRCLE_BASES]
+    return part.measurements()
+
+
+def load_measurement(ensemble_id: str) -> SeparableMeasurement:
     """The cataloged perfectly discriminating separable measurement (s5, s6, s7 only)."""
     table = _MEASUREMENT_TABLES.get(ensemble_id)
     if table is None:
         raise ValueError(f"no cataloged discriminating measurement for {ensemble_id!r}")
     n = int(ensemble_id[1])
-    poly = make_polygon(n, eps)
+    poly = make_polygon(n)
     effects = []
     for row in table:
         factors = tuple(poly.effect(i if tag == "e" else n + i) for tag, i in row)
@@ -286,7 +297,7 @@ def search_perfect_separable(
     def dfs(j: int, running: np.ndarray):
         nonlocal nodes
         if j == k:
-            if float(np.max(np.abs(running - 1.0))) <= 1e-9:
+            if float(np.max(np.abs(running - 1.0))) <= DEFAULT_EPS:
                 return []
             return None
         for effect, row in per_state[j]:
@@ -294,7 +305,7 @@ def search_perfect_separable(
             if nodes > node_budget:
                 raise SearchSpaceTooLarge(f"exceeded node budget {node_budget}")
             stacked = running + row
-            if float(stacked.max()) <= 1.0 + 1e-9:
+            if float(stacked.max()) <= 1.0 + DEFAULT_EPS:
                 rest = dfs(j + 1, stacked)
                 if rest is not None:
                     return [effect] + rest

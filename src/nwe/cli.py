@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands: info, verify, local, curve, signal, search-measurement.
-Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error.
-Tolerance can be overridden with --eps or the NWE_EPS environment variable
-(the flag wins).  Output is deterministic: fixed tie-breaking and floats
-formatted to 10 significant digits.
+Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error;
+arguments out of range are rejected while parsing, with exit 2.
+The tolerance of info, verify, signal and search-measurement can be set
+with --eps or the NWE_EPS environment variable (the flag wins); it must be
+a finite number in (0, 1).  Output is deterministic: fixed tie-breaking and
+floats formatted to 10 significant digits.
 """
 
 from __future__ import annotations
@@ -18,82 +20,43 @@ import numpy as np
 
 from . import catalog, discrimination, quantum, signaling
 from .composition import check_complete
-from .systems import DEFAULT_EPS, make_polygon, zero_one_profile
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, ProbabilityBoundError, make_polygon, zero_one_profile
 
 LEADER_NAMES = {"alice": 0, "bob": 1, "charlie": 2, "0": 0, "1": 1, "2": 2}
-
-# Finite default measurement set for the three-qubit ensemble: the
-# computation and conjugate Bloch-circle bases per party.
-_Q3_MEASUREMENT_ANGLES = ((0.0, np.pi), (0.5 * np.pi, 1.5 * np.pi))
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
     return format(float(x), ".10g")
 
 
-def _resolve_eps(args) -> float:
-    if getattr(args, "eps", None) is not None:
-        return args.eps
-    env = os.environ.get("NWE_EPS")
-    if env:
+def _checked(convert, want: str, ok=lambda value: True):
+    """argparse type: convert the text and require ok(value), else a usage error (exit 2)."""
+
+    def parse(text: str):
         try:
-            return float(env)
-        except ValueError:
-            raise UsageError(f"NWE_EPS={env!r} is not a number")
-    return DEFAULT_EPS
+            value = convert(text)
+        except (KeyError, ValueError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_priors(args) -> catalog.PriorFamily:
-    if getattr(args, "bias", None) is None:
-        return catalog.uniform()
-    try:
-        return catalog.biased(args.bias)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _parse_leader(args):
-    name = getattr(args, "leader", None)
-    if name is None:
-        return None
-    key = name.lower()
-    if key not in LEADER_NAMES:
-        raise UsageError(f"unknown leader {name!r}; use alice, bob, or charlie")
-    return LEADER_NAMES[key]
-
-
-def _search_config(ens, eps: float, indices=None) -> discrimination.SearchConfig:
-    if ens.id == "q3":
-        circ = ens.composite.parts[0]
-        angle_pairs = _Q3_MEASUREMENT_ANGLES
-        if indices is not None:
-            angle_pairs = tuple(angle_pairs[i] for i in indices)
-        per_party = tuple(
-            tuple(np.stack([circ.effect_at(a), circ.effect_at(b)]) for a, b in angle_pairs)
-            for _ in range(ens.arity)
-        )
-        return discrimination.SearchConfig(per_party)
-    return discrimination.SearchConfig.for_ensemble(ens, indices=indices)
-
-
-def _parse_measurement_indices(args):
-    text = getattr(args, "measurements", None)
-    if text is None:
-        return None
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"--measurements wants comma-separated indices, got {text!r}")
+_EPS = _checked(float, "a finite tolerance in (0, 1)", lambda x: 0.0 < x < 1.0)
+_POSITIVE = _checked(int, "an integer >= 1", lambda k: k >= 1)
+_POLYGON = _checked(int, "a polygon size >= 3", lambda n: n >= 3)
+_BIAS = _checked(lambda t: catalog.biased(float(t)), "a bias p strictly inside (0, 1/2)")
+_LEADER = _checked(lambda t: LEADER_NAMES[t.lower()], "a leader: alice, bob, or charlie")
+_INDICES = _checked(
+    lambda t: tuple(int(i) for i in t.split(",")), "comma-separated indices >= 0", lambda ix: min(ix) >= 0
+)
 
 
 def cmd_info(args) -> int:
-    eps = _resolve_eps(args)
     if args.polygon is not None:
-        sysn = make_polygon(args.polygon, eps)
+        sysn = make_polygon(args.polygon)
         print(f"polygon n={sysn.n}")
         print("pure states:")
         for i, w in enumerate(sysn.pure_states):
@@ -101,7 +64,7 @@ def cmd_info(args) -> int:
         print("ray-extremal effects and zero/one profiles:")
         for i in range(sysn.n):
             e = sysn.effect(i)
-            pr = zero_one_profile(sysn, i)
+            pr = zero_one_profile(sysn, i, args.eps)
             ones = ",".join(str(j) for j in sorted(pr.ones))
             zeros = ",".join(str(j) for j in sorted(pr.zeros))
             print(
@@ -117,32 +80,25 @@ def cmd_info(args) -> int:
     if args.id is None:
         print("cataloged ensembles:")
         for cid in catalog.CATALOG_IDS:
-            ens = catalog.load(cid, eps=eps)
+            ens = catalog.load(cid)
             kind = ens.composite.parts[0].kind
             print(f"  {cid}: {ens.size} states, {ens.arity} parties ({kind})")
         return 0
     try:
-        ens = catalog.load(args.id, _parse_priors(args), eps=eps)
-    except (ValueError, KeyError) as exc:
+        ens = catalog.load(args.id, args.priors)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"ensemble {ens.id}: {ens.size} states, {ens.arity} parties")
-    for j, (st, w) in enumerate(zip(ens.states, ens.priors)):
-        if ens.id == "q3":
-            desc = " x ".join(f"a={_fmt(a)}" for a in catalog.Q3_ANGLES[j])
-        else:
-            part = ens.composite.parts[0]
-            idx = [int(np.argmin(np.abs(part.pure_states - f).sum(axis=1))) for f in st.factors]
-            desc = " x ".join(f"w{i}" for i in idx)
+    for j, (desc, w) in enumerate(zip(catalog.state_labels(ens.id), ens.priors)):
         print(f"  state {j}: {desc}   prior {_fmt(w)}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    eps = _resolve_eps(args)
     try:
-        measurement = catalog.load_measurement(args.id, eps)
-        ens = catalog.load(args.id, eps=eps)
+        measurement = catalog.load_measurement(args.id)
+        ens = catalog.load(args.id)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,29 +109,23 @@ def cmd_verify(args) -> int:
     print("confusion matrix (rows = effects, cols = states):")
     for row in conf:
         print("  " + " ".join(_fmt(v) for v in row))
-    print(f"max |confusion - identity| = {_fmt(deviation)} (tol {_fmt(eps)})")
-    print(f"completeness within 1e-12: {'ok' if complete else 'FAILED'}")
-    ok = complete and deviation <= eps
+    print(f"max |confusion - identity| = {_fmt(deviation)} (tol {_fmt(args.eps)})")
+    print(f"completeness within {_fmt(COMPLETENESS_TOL)}: {'ok' if complete else 'FAILED'}")
+    ok = complete and deviation <= args.eps
     print(f"verify {args.id}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_local(args) -> int:
-    eps = _resolve_eps(args)
     try:
-        priors = _parse_priors(args)
-        leader = _parse_leader(args)
-        indices = _parse_measurement_indices(args)
-        ens = catalog.load(args.id, priors, eps=eps)
-        cfg = _search_config(ens, eps, indices)
-        if args.fixed_order:
-            cfg = discrimination.SearchConfig(cfg.measurements, adaptive=False)
-        report = discrimination.optimal_local(ens, cfg, leader)
-    except (ValueError, KeyError, IndexError, UsageError) as exc:
+        ens = catalog.load(args.id, args.priors)
+        cfg = discrimination.SearchConfig.for_ensemble(ens, args.measurements, not args.fixed_order)
+        report = discrimination.optimal_local(ens, cfg, args.leader)
+    except (ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    leader_text = "free" if leader is None else str(leader)
-    print(f"ensemble {ens.id} ({ens.size} states, {ens.arity} parties), priors {priors.describe()}")
+    leader_text = "free" if args.leader is None else str(args.leader)
+    print(f"ensemble {ens.id} ({ens.size} states, {ens.arity} parties), priors {args.priors.describe()}")
     print(f"leader: {leader_text}")
     print(f"success = {_fmt(report.success)}")
     print(f"delta = {_fmt(report.delta)}")
@@ -200,11 +150,11 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _signal_polygon(args, eps: float) -> int:
+def _signal_polygon(args) -> int:
     if args.n != 2:
         print("error: only binary extremal decodings are supported (use --n 2)", file=sys.stderr)
         return 2
-    sysn = make_polygon(args.polygon, eps)
+    sysn = make_polygon(args.polygon)
     try:
         vertices = signaling.classical_vertices(args.m, args.n, args.d)
     except signaling.VertexBoundError as exc:
@@ -215,7 +165,11 @@ def _signal_polygon(args, eps: float) -> int:
     for encoding in itertools.product(range(sysn.n), repeat=args.m):
         states = [sysn.pure_state(i) for i in encoding]
         for mi in range(len(sysn.extremal_measurements)):
-            ch = signaling.gpt_channel(sysn, states, sysn.measurement(mi), eps)
+            try:
+                ch = signaling.gpt_channel(sysn, states, sysn.measurement(mi), args.eps)
+            except ProbabilityBoundError as exc:
+                print(f"error: {exc} (tolerance --eps {_fmt(args.eps)})", file=sys.stderr)
+                return 2
             key = np.round(ch.rows, 12).tobytes()
             if key not in seen:
                 seen.add(key)
@@ -253,7 +207,7 @@ def _print_witness(ch, result, as_csv: bool) -> None:
             print("  h: " + " ".join(_fmt(v) for v in row))
 
 
-def _signal_identity(args, eps: float) -> int:
+def _signal_identity(args) -> int:
     k = args.identity
     ch = signaling.Channel(np.eye(k))
     try:
@@ -276,7 +230,6 @@ def _signal_identity(args, eps: float) -> int:
 
 
 def cmd_signal(args) -> int:
-    eps = _resolve_eps(args)
     if (args.polygon is None) == (args.identity is None):
         print("error: give exactly one of --polygon or --identity", file=sys.stderr)
         return 2
@@ -284,19 +237,15 @@ def cmd_signal(args) -> int:
         if args.m is None:
             print("error: --polygon needs --m", file=sys.stderr)
             return 2
-        return _signal_polygon(args, eps)
-    return _signal_identity(args, eps)
+        return _signal_polygon(args)
+    return _signal_identity(args)
 
 
 def cmd_search(args) -> int:
-    eps = _resolve_eps(args)
     try:
-        ens = catalog.load(args.id, eps=eps)
-        found = catalog.search_perfect_separable(ens, node_budget=args.budget, eps=eps)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except catalog.SearchSpaceTooLarge as exc:
+        ens = catalog.load(args.id)
+        found = catalog.search_perfect_separable(ens, node_budget=args.budget, eps=args.eps)
+    except (ValueError, KeyError, catalog.SearchSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if found is None:
@@ -316,12 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_eps(p):
-        p.add_argument("--eps", type=float, default=None, help="tolerance override (or NWE_EPS)")
+        p.add_argument(
+            "--eps",
+            type=_EPS,
+            default=os.environ.get("NWE_EPS") or DEFAULT_EPS,
+            help="tolerance in (0, 1) (default: NWE_EPS, else %(default)s)",
+        )
 
     p = sub.add_parser("info", help="describe cataloged ensembles or a polygon system")
     p.add_argument("id", nargs="?", default=None, choices=(None, *catalog.CATALOG_IDS))
-    p.add_argument("--polygon", type=int, default=None, metavar="N")
-    p.add_argument("--bias", type=float, default=None, metavar="P")
+    p.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
+    p.add_argument("--bias", type=_BIAS, default=catalog.uniform(), dest="priors", metavar="P")
     add_eps(p)
     p.set_defaults(func=cmd_info)
 
@@ -332,16 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local", help="optimal adaptive local discrimination")
     p.add_argument("id")
-    p.add_argument("--bias", type=float, default=None, metavar="P", help="biased priors (default uniform)")
-    p.add_argument("--leader", default=None, help="force the first party: alice, bob, or charlie")
+    p.add_argument(
+        "--bias", type=_BIAS, default=catalog.uniform(), dest="priors", metavar="P", help="biased priors (default uniform)"
+    )
+    p.add_argument("--leader", type=_LEADER, default=None, help="force the first party: alice, bob, or charlie")
     p.add_argument("--fixed-order", action="store_true", help="parties measure in index order")
     p.add_argument(
         "--measurements",
+        type=_INDICES,
         default=None,
         metavar="I,J,...",
         help="restrict every party to these measurement indices (e.g. 0,1)",
     )
-    add_eps(p)
     p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("curve", help="pentagon-vs-quantum delta curve over a bias grid (CSV)")
@@ -349,15 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pmax", type=float)
     p.add_argument("steps", type=int)
     p.add_argument("out")
-    add_eps(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("signal", help="classical d-symbol polytope certification")
-    p.add_argument("--polygon", type=int, default=None, metavar="N")
-    p.add_argument("--m", type=int, default=None, help="number of encoding inputs")
+    p.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
+    p.add_argument("--m", type=_POSITIVE, default=None, help="number of encoding inputs")
     p.add_argument("--n", type=int, default=2, help="number of outputs (binary decodings)")
-    p.add_argument("--identity", type=int, default=None, metavar="K", help="check the KxK identity channel")
-    p.add_argument("--d", type=int, required=True, help="classical alphabet size")
+    p.add_argument("--identity", type=_POSITIVE, default=None, metavar="K", help="check the KxK identity channel")
+    p.add_argument("--d", type=_POSITIVE, required=True, help="classical alphabet size")
     p.add_argument("--csv", action="store_true", help="print certificates as CSV rows")
     add_eps(p)
     p.set_defaults(func=cmd_signal)
@@ -372,13 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
+    return args.func(args)
 
 
 if __name__ == "__main__":

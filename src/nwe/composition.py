@@ -14,9 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .systems import DEFAULT_EPS, GptSystem, prob
-
-COMPLETENESS_TOL = 1e-12
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, prob
 
 __all__ = [
     "COMPLETENESS_TOL",

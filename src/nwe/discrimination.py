@@ -29,7 +29,7 @@ import numpy as np
 
 from . import catalog
 from .composition import SeparableMeasurement, product_prob
-from .systems import DEFAULT_EPS, prob
+from .systems import DEFAULT_EPS, prob, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
@@ -88,15 +88,10 @@ class SearchConfig:
 
     @classmethod
     def for_ensemble(cls, ens, indices=None, adaptive: bool = True) -> "SearchConfig":
-        """All binary extremal measurements of each party (or the indexed subset)."""
+        """Each party's catalog default measurements (or the indexed subset)."""
         per_party = []
         for part in ens.composite.parts:
-            if part.kind != "polygon":
-                raise ValueError(
-                    f"party system {part.kind!r} has no finite extremal measurement list; "
-                    "pass explicit measurements"
-                )
-            ms = part.measurements()
+            ms = catalog.default_measurements(part)
             if indices is not None:
                 ms = [ms[i] for i in indices]
             per_party.append(tuple(ms))
@@ -127,12 +122,6 @@ def confusion_matrix(M: SeparableMeasurement, ens) -> np.ndarray:
     return out
 
 
-def _check_measurement_complete(effects, unit, where: str):
-    total = np.sum(effects, axis=0)
-    if np.max(np.abs(total - unit)) > 1e-9:
-        raise ValueError(f"incomplete measurement at {where}: effects do not sum to the unit")
-
-
 def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
     """Success probability of an explicit protocol tree on an ensemble."""
     arity = ens.composite.arity
@@ -151,7 +140,7 @@ def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
         if len(node.children) != len(node.effects):
             raise MalformedTreeError("one child per measurement outcome required")
         unit = ens.composite.parts[node.party].unit_effect
-        _check_measurement_complete(node.effects, unit, f"party {node.party}")
+        require_complete(node.effects, unit, f"measurement at party {node.party}")
         total = 0.0
         for effect, child in zip(node.effects, node.children):
             lik = np.array([prob(effect, st.factors[node.party], eps) for st in ens.states])
@@ -180,7 +169,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
                 f"party {p} has {len(per)} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}"
             )
         for m in per:
-            _check_measurement_complete(m, ens.composite.parts[p].unit_effect, f"party {p}")
+            require_complete(m, ens.composite.parts[p].unit_effect, f"measurement at party {p}")
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 

@@ -6,9 +6,10 @@ perfectly resolved by the remaining two parties with measurements at angles
 {0, pi} and {pi/2, 3 pi/2}.  All error therefore sits at the leader's step:
 a state whose leader factor has angle a is misclassified with probability
 (1 - cos(theta - a)) / 2 or (1 + cos(theta - a)) / 2 depending on its group,
-so the total error has the form A (1 - cos theta) + B (1 - sin theta) with
-A, B >= 0, which is unimodal on [0, pi/2]; golden-section search is exact up
-to tolerance, and closed forms are provided for the biased prior family.
+so the total error has the form C - (A cos theta + B sin theta) / 2 with
+A, B >= 0, minimized exactly at theta* = atan2(B, A) with value
+C - sqrt(A^2 + B^2) / 2 for any priors; ``qt_delta_closed`` spells this out
+for the biased prior family.
 
 ``curve`` pairs these quantum deltas with the pentagon-ensemble deltas from
 the discrimination engine over a grid of bias values.
@@ -17,7 +18,7 @@ the discrimination engine over a grid of bias values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,18 +30,14 @@ CSV_HEADER = "p,delta_poly_a,delta_poly_b,delta_poly,delta_qt_a,delta_qt_b,delta
 __all__ = [
     "CSV_HEADER",
     "CurvePoint",
-    "ThetaProtocol",
     "curve",
     "curve_csv",
-    "golden_section_min",
     "grouping",
     "qt_delta_closed",
     "qt_optimize",
     "qt_perr",
     "write_curve_csv",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def grouping(leader: int) -> tuple:
@@ -59,22 +56,6 @@ def grouping(leader: int) -> tuple:
     return tuple(g1), tuple(g2)
 
 
-@dataclass(frozen=True)
-class ThetaProtocol:
-    """A leader, their measurement angle, and the outcome-induced state grouping."""
-
-    leader: int
-    theta: float
-    groups: tuple
-
-    @classmethod
-    def for_leader(cls, leader: int, theta: float) -> "ThetaProtocol":
-        return cls(leader, float(theta), grouping(leader))
-
-    def error(self, priors) -> float:
-        return qt_perr(self.theta, priors, self.leader)
-
-
 def _weights(priors, k: int = 8) -> np.ndarray:
     if isinstance(priors, PriorFamily):
         return priors.weights(k)
@@ -84,39 +65,32 @@ def _weights(priors, k: int = 8) -> np.ndarray:
     return w
 
 
+def _coefficients(priors, leader: int) -> tuple:
+    """(A, B, C) with qt_perr(theta) = C - (A cos theta + B sin theta) / 2.
+
+    A state of weight w at leader angle a adds w (1 -/+ cos(theta - a)) / 2 in
+    the first/second group; expanding the cosine gives the signed sums below.
+    """
+    w = _weights(priors)
+    g1, _ = grouping(leader)
+    a_coef = b_coef = 0.0
+    for i, angles in enumerate(Q3_ANGLES):
+        signed = float(w[i] if i in g1 else -w[i])
+        a_coef += signed * math.cos(angles[leader])
+        b_coef += signed * math.sin(angles[leader])
+    return a_coef, b_coef, 0.5 * float(w.sum())
+
+
 def qt_perr(theta: float, priors, leader: int) -> float:
     """Total misclassification probability of the leader's theta measurement."""
-    w = _weights(priors)
-    g1, g2 = grouping(leader)
-    err = 0.0
-    for i in g2:
-        err += w[i] * 0.5 * (1.0 + math.cos(theta - Q3_ANGLES[i][leader]))
-    for i in g1:
-        err += w[i] * 0.5 * (1.0 - math.cos(theta - Q3_ANGLES[i][leader]))
-    return float(err)
+    a_coef, b_coef, c = _coefficients(priors, leader)
+    return c - 0.5 * (a_coef * math.cos(theta) + b_coef * math.sin(theta))
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> tuple:
-    """Minimize a unimodal scalar function on [a, b] down to interval width tol."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def qt_optimize(priors, leader: int, tol: float = 1e-10) -> tuple:
-    """(theta*, delta): the optimal leader angle in [0, pi/2] and its error."""
-    return golden_section_min(lambda t: qt_perr(t, priors, leader), 0.0, 0.5 * math.pi, tol)
+def qt_optimize(priors, leader: int) -> tuple:
+    """(theta*, delta): the optimal leader angle in [0, pi/2] and its error, in closed form."""
+    a_coef, b_coef, c = _coefficients(priors, leader)
+    return math.atan2(b_coef, a_coef), c - 0.5 * math.hypot(a_coef, b_coef)
 
 
 def qt_delta_closed(p: float, protocol: str) -> float:
@@ -132,6 +106,8 @@ def qt_delta_closed(p: float, protocol: str) -> float:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One curve row; the field order is the CSV column order."""
+
     p: float
     delta_poly_a: float
     delta_poly_b: float
@@ -146,7 +122,7 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
 
     Per point: the pentagon ensemble delta from the discrimination engine
     with the leader forced to Alice (a) and the best of Bob/Charlie (b),
-    and the numerically optimized quantum deltas for the same leaders.
+    and the optimal quantum deltas for the same leaders.
     """
     if not 0.0 < p_min < p_max < 0.5:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
@@ -176,20 +152,7 @@ def curve_csv(points) -> str:
     """CSV rendering: '.' decimal separator, LF line endings, 10 significant digits."""
     lines = [CSV_HEADER]
     for pt in points:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    pt.p,
-                    pt.delta_poly_a,
-                    pt.delta_poly_b,
-                    pt.delta_poly,
-                    pt.delta_qt_a,
-                    pt.delta_qt_b,
-                    pt.delta_qt,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in astuple(pt)))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .systems import DEFAULT_EPS, GptSystem, prob
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, prob, require_complete
 
 VERTEX_ENUMERATION_BOUND = 100_000
 MEMBERSHIP_TOL = 1e-7
@@ -55,9 +55,9 @@ class Channel:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("channel needs a nonempty 2-D row matrix")
-        if rows.min() < -1e-12:
+        if rows.min() < -COMPLETENESS_TOL:
             raise ValueError("channel rows must be nonnegative")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-12:
+        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > COMPLETENESS_TOL:
             raise ValueError("channel rows must each sum to 1")
 
     @property
@@ -86,9 +86,7 @@ class DeterministicStrategy:
 def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -> Channel:
     """Channel induced by sending one of ``encodings`` and measuring ``decoding``."""
     effects = [np.asarray(e, dtype=float) for e in decoding]
-    total = np.sum(effects, axis=0)
-    if np.max(np.abs(total - sys.unit_effect)) > 1e-9:
-        raise ValueError("incomplete decoding: effects do not sum to the unit")
+    require_complete(effects, sys.unit_effect, "decoding")
     rows = np.array([[prob(e, np.asarray(w, dtype=float), eps) for e in effects] for w in encodings])
     return Channel(rows)
 

@@ -33,8 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EPS = 1e-9
+COMPLETENESS_TOL = 1e-12
 
 __all__ = [
+    "COMPLETENESS_TOL",
     "DEFAULT_EPS",
     "GptSystem",
     "ProbabilityBoundError",
@@ -43,6 +45,7 @@ __all__ = [
     "make_bloch_circle",
     "make_polygon",
     "prob",
+    "require_complete",
     "validate_effect",
     "zero_one_profile",
 ]
@@ -77,7 +80,6 @@ class GptSystem:
     complement_effects: np.ndarray  # (n, dim), row i = unit - ray_extremal[i]
     unit_effect: np.ndarray  # (dim,)
     extremal_measurements: tuple  # pairs of combined effect indices
-    eps: float = DEFAULT_EPS
 
     @property
     def n(self) -> int:
@@ -120,7 +122,7 @@ class GptSystem:
         return np.array([0.5 * math.cos(theta), 0.5 * math.sin(theta), 0.5])
 
 
-def make_polygon(n: int, eps: float = DEFAULT_EPS) -> GptSystem:
+def make_polygon(n: int) -> GptSystem:
     """Construct the regular n-gon model (n >= 3)."""
     if n < 3:
         raise ValueError(f"polygon model needs n >= 3, got {n}")
@@ -136,14 +138,14 @@ def make_polygon(n: int, eps: float = DEFAULT_EPS) -> GptSystem:
         effects = states / (1.0 + r * r)
         meas = tuple((i, n + i) for i in range(n))
     unit = np.array([0.0, 0.0, 1.0])
-    return GptSystem("polygon", 3, states, effects, unit - effects, unit, meas, eps)
+    return GptSystem("polygon", 3, states, effects, unit - effects, unit, meas)
 
 
-def make_bloch_circle(eps: float = DEFAULT_EPS) -> GptSystem:
+def make_bloch_circle() -> GptSystem:
     """Construct the angle-parameterized circle model (XZ great circle of a qubit)."""
     empty = np.zeros((0, 3))
     unit = np.array([0.0, 0.0, 1.0])
-    return GptSystem("bloch_circle", 3, empty, empty, empty, unit, (), eps)
+    return GptSystem("bloch_circle", 3, empty, empty, empty, unit, ())
 
 
 def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> float:
@@ -162,10 +164,14 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
     return min(max(v, 0.0), 1.0)
 
 
-def validate_effect(sys: GptSystem, e: np.ndarray, eps: float | None = None) -> bool:
+def require_complete(effects, unit: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the effects sum to the unit within DEFAULT_EPS."""
+    if np.max(np.abs(np.sum(effects, axis=0) - unit)) > DEFAULT_EPS:
+        raise ValueError(f"incomplete {what}: effects do not sum to the unit")
+
+
+def validate_effect(sys: GptSystem, e: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
     """True iff e yields values in [0, 1] (within eps) on every state of sys."""
-    if eps is None:
-        eps = sys.eps
     e = np.asarray(e, dtype=float)
     if e.shape != (sys.dim,):
         raise ValueError(f"effect has shape {e.shape}, expected ({sys.dim},)")
@@ -182,15 +188,13 @@ def find_pair_discriminator(
     sys: GptSystem,
     omega_a: np.ndarray,
     omega_b: np.ndarray,
-    eps: float | None = None,
+    eps: float = DEFAULT_EPS,
 ):
     """Binary measurement {e, u - e} with p(e|a) = 1 and p(e|b) = 0, if one exists.
 
     Scans the ray-extremal effects and then their complements; returns the
     stacked (2, dim) measurement, or None when no candidate filters the pair.
     """
-    if eps is None:
-        eps = sys.eps
     for k in range(2 * sys.n):
         e = sys.effect(k)
         if abs(float(e @ omega_a) - 1.0) <= eps and abs(float(e @ omega_b)) <= eps:
@@ -198,12 +202,10 @@ def find_pair_discriminator(
     return None
 
 
-def zero_one_profile(sys: GptSystem, k: int, eps: float | None = None) -> ZeroOneProfile:
+def zero_one_profile(sys: GptSystem, k: int, eps: float = DEFAULT_EPS) -> ZeroOneProfile:
     """Classify every pure state as filtered-with-one, -zero, or fractionally by effect k."""
     if sys.kind != "polygon":
         raise TypeError("zero_one_profile needs a polygon system")
-    if eps is None:
-        eps = sys.eps
     vals = sys.pure_states @ sys.effect(k)
     ones = frozenset(int(i) for i in np.flatnonzero(vals >= 1.0 - eps))
     zeros = frozenset(int(i) for i in np.flatnonzero(vals <= eps))

@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the library's protocol recursion:
 the brute-force enumerator walks all adaptive two-party trees explicitly,
-and the simulator draws physical measurement outcomes one sample at a time.
+the simulator draws physical measurement outcomes one sample at a time, and
+golden-section search minimizes the qubit theta-protocol error numerically,
+independent of its closed form.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -90,3 +93,24 @@ def simulate_tree(tree, ens, n_samples, rng):
             node = node.children[outcome]
         correct += node.guess == s
     return correct / n_samples
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> tuple:
+    """Minimize a unimodal scalar function on [a, b] down to interval width tol."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism, tolerance wiring."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwe.cli import main
 
@@ -198,3 +202,111 @@ def test_eps_env_var_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("NWE_EPS", "not-a-number")
     code, _, err = run(capsys, "verify", "s5")
     assert code == 2
+
+
+# Full stdout of the commands whose output the catalog tables now produce.
+PINNED_STDOUT = {
+    ("info", "q3"): (
+        "ensemble q3: 8 states, 3 parties\n"
+        "  state 0: a=0 x a=0 x a=0   prior 0.125\n"
+        "  state 1: a=3.141592654 x a=3.141592654 x a=3.141592654   prior 0.125\n"
+        "  state 2: a=1.570796327 x a=0 x a=3.141592654   prior 0.125\n"
+        "  state 3: a=4.71238898 x a=0 x a=3.141592654   prior 0.125\n"
+        "  state 4: a=0 x a=3.141592654 x a=1.570796327   prior 0.125\n"
+        "  state 5: a=0 x a=3.141592654 x a=4.71238898   prior 0.125\n"
+        "  state 6: a=3.141592654 x a=1.570796327 x a=0   prior 0.125\n"
+        "  state 7: a=3.141592654 x a=4.71238898 x a=0   prior 0.125\n"
+    ),
+    ("info", "s5"): (
+        "ensemble s5: 8 states, 3 parties\n"
+        "  state 0: w0 x w0 x w0   prior 0.125\n"
+        "  state 1: w2 x w2 x w2   prior 0.125\n"
+        "  state 2: w1 x w0 x w2   prior 0.125\n"
+        "  state 3: w4 x w0 x w2   prior 0.125\n"
+        "  state 4: w0 x w2 x w1   prior 0.125\n"
+        "  state 5: w0 x w2 x w4   prior 0.125\n"
+        "  state 6: w2 x w1 x w0   prior 0.125\n"
+        "  state 7: w2 x w4 x w0   prior 0.125\n"
+    ),
+    ("local", "q3"): (
+        "ensemble q3 (8 states, 3 parties), priors uniform\n"
+        "leader: free\n"
+        "success = 0.875\n"
+        "delta = 0.125\n"
+        "tree: (p0 m0 (p1 m0 (p2 m0 g0 g2) (p2 m1 g4 g5)) (p2 m0 (p1 m1 g6 g7) (p1 m0 g2 g1)))\n"
+    ),
+    ("local", "q3", "--measurements", "1"): (
+        "ensemble q3 (8 states, 3 parties), priors uniform\n"
+        "leader: free\n"
+        "success = 0.25\n"
+        "delta = 0.75\n"
+        "tree: (p0 m0 (p1 m0 (p2 m0 g2 g2) (p2 m0 g4 g5)) (p1 m0 (p2 m0 g3 g3) (p2 m0 g7 g3)))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_pinned_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--polygon", "2"),
+        ("signal", "--polygon", "5", "--m", "0", "--d", "2"),
+        ("signal", "--identity", "0", "--d", "2"),
+        ("signal", "--identity", "3", "--d", "0"),
+        ("signal", "--polygon", "5", "--m", "2", "--d", "2", "--eps", "1e-300"),
+        ("verify", "s5", "--eps", "-1"),
+        ("verify", "s5", "--eps", "nan"),
+        ("local", "s5", "--measurements", "-1"),
+        ("local", "s5", "--eps", "1e-3"),
+        ("curve", "0.1", "0.4", "4", "x.csv", "--eps", "5"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_arguments_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
+EPS_VALUES = ("-1", "0", "1e-300", "1e-9", "nan")
+
+
+@st.composite
+def cli_arguments(draw):
+    eps = ["--eps", draw(st.sampled_from(EPS_VALUES))] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(("info", "signal-polygon", "signal-identity", "verify", "local")))
+    if command == "info":
+        return ["info", "--polygon", str(draw(st.integers(2, 8))), *eps]
+    if command == "signal-polygon":
+        n, m, d = draw(st.integers(2, 8)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return ["signal", "--polygon", str(n), "--m", str(m), "--d", str(d), *eps]
+    if command == "signal-identity":
+        k, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        return ["signal", "--identity", str(k), "--d", str(d), *eps]
+    ensemble = draw(st.sampled_from(("s4", "s5", "s6", "s7", "q3")))
+    if command == "verify":
+        return ["verify", ensemble, *eps]
+    extra = []
+    if draw(st.booleans()):
+        extra += ["--leader", draw(st.sampled_from(("alice", "bob", "charlie", "dave")))]
+    if draw(st.booleans()):
+        indices = draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+        extra += ["--measurements", ",".join(map(str, indices))]
+    return ["local", ensemble, *extra]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_arguments())
+def test_exit_code_contract_holds_without_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import nwe
+from _oracles import golden_section_min
 from nwe.catalog import Q3_ANGLES, biased, load, uniform
 from nwe.composition import CompositeSystem, ProductState
 from nwe.discrimination import SearchConfig, optimal_local
 from nwe.quantum import (
     CSV_HEADER,
-    ThetaProtocol,
     curve,
     curve_csv,
-    golden_section_min,
     grouping,
     qt_delta_closed,
     qt_optimize,
@@ -105,10 +104,25 @@ def test_golden_section_on_shifted_cosine():
     assert fx == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_theta_protocol_carries_its_grouping():
-    protocol = ThetaProtocol.for_leader(0, math.atan(1.0 / 3.0))
-    assert protocol.groups == grouping(0)
-    assert protocol.error(uniform()) == pytest.approx(UNIFORM_DELTA, abs=1e-12)
+def test_closed_form_optimum_matches_golden_section_oracle():
+    for leader in range(3):
+        for p in (0.05, 0.2, 0.4):
+            family = biased(p)
+            theta, value = qt_optimize(family, leader)
+            x, fx = golden_section_min(lambda t: qt_perr(t, family, leader), 0.0, 0.5 * math.pi)
+            assert abs(theta - x) <= 1e-7
+            assert value == pytest.approx(fx, abs=1e-12)
+
+
+def test_theta_error_follows_the_leader_grouping():
+    theta = math.atan(1.0 / 3.0)
+    w = uniform().weights(8)
+    g1, g2 = grouping(0)
+    misses = [0.5 * (1.0 - math.cos(theta - Q3_ANGLES[i][0])) for i in g1]
+    misses += [0.5 * (1.0 + math.cos(theta - Q3_ANGLES[i][0])) for i in g2]
+    grouped = sum(w[i] * miss for i, miss in zip(g1 + g2, misses))
+    assert qt_perr(theta, uniform(), 0) == pytest.approx(grouped, abs=1e-12)
+    assert grouped == pytest.approx(UNIFORM_DELTA, abs=1e-12)
 
 
 def test_each_group_is_perfectly_resolved_by_the_other_parties():
@@ -117,7 +131,7 @@ def test_each_group_is_perfectly_resolved_by_the_other_parties():
     X = np.stack([circ.effect_at(0.5 * math.pi), circ.effect_at(1.5 * math.pi)])
     for leader in range(3):
         others = [p for p in range(3) if p != leader]
-        for group in ThetaProtocol.for_leader(leader, 0.25 * math.pi).groups:
+        for group in grouping(leader):
             states = tuple(
                 ProductState(tuple(circ.state_at(Q3_ANGLES[i][p]) for p in others)) for i in group
             )
@@ -138,6 +152,19 @@ def test_q3_with_basis_measurements_scores_seven_eighths():
     ens = load("q3")
     report = optimal_local(ens, SearchConfig(((Z, X),) * 3))
     assert report.success == pytest.approx(0.875, abs=1e-12)
+
+
+def test_q3_catalog_default_measurements_are_the_z_and_x_bases():
+    circ = make_bloch_circle()
+    Z = np.stack([circ.effect_at(0.0), circ.effect_at(math.pi)])
+    X = np.stack([circ.effect_at(0.5 * math.pi), circ.effect_at(1.5 * math.pi)])
+    cfg = SearchConfig.for_ensemble(load("q3"))
+    for per_party in cfg.measurements:
+        assert len(per_party) == 2
+        np.testing.assert_array_equal(per_party[0], Z)
+        np.testing.assert_array_equal(per_party[1], X)
+    subset = SearchConfig.for_ensemble(load("q3"), indices=(1,))
+    np.testing.assert_array_equal(subset.measurements[0][0], X)
 
 
 def test_curve_points_are_consistent():
