@@ -3,10 +3,12 @@
 Commands: info, verify, local, curve, signal, search-measurement.
 Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error;
 arguments out of range are rejected while parsing, with exit 2.
-The tolerance of info, verify, signal and search-measurement can be set
-with --eps or the NWE_EPS environment variable (the flag wins); it must be
-a finite number in (0, 1).  Output is deterministic: fixed tie-breaking and
-floats formatted to 10 significant digits.
+The tolerance of info --polygon, verify, signal --polygon and
+search-measurement can be set with --eps or the NWE_EPS environment
+variable (the flag wins); it must be a finite number in (0, 1).  signal
+--identity accepts --eps but reads no tolerance, and rejects --n.  Output
+is deterministic: fixed tie-breaking and floats formatted to 10
+significant digits.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def cmd_local(args) -> int:
         ens = catalog.load(args.id, args.priors)
         cfg = discrimination.SearchConfig.for_ensemble(ens, args.measurements, not args.fixed_order)
         report = discrimination.optimal_local(ens, cfg, args.leader)
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     leader_text = "free" if args.leader is None else str(args.leader)
@@ -151,12 +153,12 @@ def cmd_curve(args) -> int:
 
 
 def _signal_polygon(args) -> int:
-    if args.n != 2:
+    if args.n not in (None, 2):
         print("error: only binary extremal decodings are supported (use --n 2)", file=sys.stderr)
         return 2
     sysn = make_polygon(args.polygon)
     try:
-        vertices = signaling.classical_vertices(args.m, args.n, args.d)
+        vertices = signaling.classical_vertices(args.m, 2, args.d)
     except signaling.VertexBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -238,6 +240,9 @@ def cmd_signal(args) -> int:
             print("error: --polygon needs --m", file=sys.stderr)
             return 2
         return _signal_polygon(args)
+    if args.n is not None:
+        print("error: --n applies to --polygon only", file=sys.stderr)
+        return 2
     return _signal_identity(args)
 
 
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signal", help="classical d-symbol polytope certification")
     p.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
     p.add_argument("--m", type=_POSITIVE, default=None, help="number of encoding inputs")
-    p.add_argument("--n", type=int, default=2, help="number of outputs (binary decodings)")
+    p.add_argument("--n", type=int, default=None, help="--polygon only: number of outputs (2, the default)")
     p.add_argument("--identity", type=_POSITIVE, default=None, metavar="K", help="check the KxK identity channel")
     p.add_argument("--d", type=_POSITIVE, required=True, help="classical alphabet size")
     p.add_argument("--csv", action="store_true", help="print certificates as CSV rows")

@@ -14,16 +14,34 @@ recursion
     V(L, R) = max_{a in R} max_{M in allowed[a]} sum_o V(L * lik_{a,M}(o), R - {a}),
     V(L, {}) = max_i L_i,
 
-seeded with L = priors.  Weights are never renormalized, which keeps
-zero-probability branches harmless (an all-zero L contributes 0 and is not
-recursed).  Ties are broken toward the lowest party index, then the lowest
-measurement index, then the lowest guess index, so reports are reproducible.
+seeded with L = priors.  Likelihoods of product states commute, so L
+depends only on the set of observed (party, measurement, outcome) triples,
+not on their order, and ``optimal_local`` solves each subproblem once by
+dynamic programming over the lattice of measured-party subsets (the
+Held-Karp idiom).  Party a's likelihood table holds row 0 of ones ("not
+measured yet") and one row per flattened (measurement, outcome) pair
+j_a = 1..J_a.  One tensor indexed by (j_0, ..., j_{n-1}) starts as the leaf
+values max_k prior_k * prod_a table_a[j_a, k], multiplied in party order.
+Walking subsets by decreasing size, each entry with unmeasured parties (its
+zero axes) becomes the max over those parties and their measurements of
+the outcome sum, added in outcome order; the tree is then rebuilt top-down
+from the finished tensor.  The tensor has prod_a (1 + J_a) entries and the
+leaf values are accumulated a chunk of states at a time, so memory stays
+within a small multiple of it whatever the number of states.
+
+Weights are never renormalized, which keeps zero-probability branches
+harmless: an all-zero weight vector becomes a leaf guessing state 0.  Ties
+are broken toward the lowest party index, then the lowest measurement
+index (a later candidate must be strictly larger), then the lowest guess
+index, so reports are reproducible.  Guesses are the argmax of the weights
+multiplied along the path.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +51,8 @@ from .systems import DEFAULT_EPS, prob, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
+# Entries of one chunk of per-state leaf products; bounds their temporary.
+_CHUNK_ENTRIES = 1 << 16
 
 __all__ = [
     "DiscriminationReport",
@@ -90,9 +110,14 @@ class SearchConfig:
     def for_ensemble(cls, ens, indices=None, adaptive: bool = True) -> "SearchConfig":
         """Each party's catalog default measurements (or the indexed subset)."""
         per_party = []
-        for part in ens.composite.parts:
+        for p, part in enumerate(ens.composite.parts):
             ms = catalog.default_measurements(part)
             if indices is not None:
+                for i in indices:
+                    if not 0 <= i < len(ms):
+                        raise ValueError(
+                            f"measurement index {i} out of range: party {p} has {len(ms)} measurements"
+                        )
                 ms = [ms[i] for i in indices]
             per_party.append(tuple(ms))
         return cls(tuple(per_party), adaptive)
@@ -173,43 +198,94 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    # lik[p][mi][o] = per-state likelihood vector of outcome o
-    lik = [
-        [
-            np.array([[prob(e, st.factors[p]) for st in ens.states] for e in meas])
-            for meas in cfg.measurements[p]
-        ]
-        for p in range(arity)
-    ]
+    tables = [_likelihood_table(ens, p, per) for p, per in enumerate(cfg.measurements)]
+    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
+    offsets = [list(accumulate((len(m) for m in per[:-1]), initial=0)) for per in cfg.measurements]
+    priors = np.asarray(ens.priors, dtype=float)
+    values = _leaf_values(priors, tables)
+    _bellman(values, offsets, cfg, leader)
 
-    def recurse(weights, remaining, forced=None):
+    def build(index, remaining, weights):
         if not remaining or not weights.any():
-            g = int(np.argmax(weights))
-            return float(weights[g]), Leaf(g)
-        if forced is not None:
-            parties = (forced,)
-        elif cfg.adaptive:
-            parties = remaining
-        else:
-            parties = (remaining[0],)
+            return Leaf(int(np.argmax(weights)))
         best_value = -1.0
-        best_node = None
-        for a in parties:
-            rest = tuple(x for x in remaining if x != a)
-            for mi in range(len(cfg.measurements[a])):
+        for a in _movers(remaining, cfg, leader, len(remaining) == arity):
+            along = values[index[:a] + (slice(1, None),) + index[a + 1 :]].tolist()
+            for mi, meas in enumerate(cfg.measurements[a]):
                 total = 0.0
-                children = []
-                for o in range(len(cfg.measurements[a][mi])):
-                    value, sub = recurse(weights * lik[a][mi][o], rest)
-                    total += value
-                    children.append(sub)
+                for o in range(len(meas)):
+                    total += along[offsets[a][mi] + o]
                 if total > best_value:
-                    best_value = total
-                    best_node = cfg.node(a, mi, children)
-        return best_value, best_node
+                    best_value, choice = total, (a, mi)
+        a, mi = choice
+        rest = tuple(x for x in remaining if x != a)
+        rows = range(1 + offsets[a][mi], 1 + offsets[a][mi] + len(cfg.measurements[a][mi]))
+        children = [build(index[:a] + (r,) + index[a + 1 :], rest, weights * tables[a][r]) for r in rows]
+        return cfg.node(a, mi, children)
 
-    success, tree = recurse(np.asarray(ens.priors, dtype=float), tuple(range(arity)), leader)
+    root = (0,) * arity
+    tree = build(root, tuple(range(arity)), priors)
+    success = float(values[root])
     return DiscriminationReport(success, 1.0 - success, tree, leader)
+
+
+def _movers(remaining, cfg: SearchConfig, leader, at_root: bool):
+    """Parties that may measure next: a forced leader at the root, else per cfg.adaptive."""
+    if at_root and leader is not None:
+        return (leader,)
+    return remaining if cfg.adaptive else remaining[:1]
+
+
+def _likelihood_table(ens, party: int, measurements) -> np.ndarray:
+    """(1 + J, K) table: row 0 all ones (not measured yet), then one row per
+    (measurement, outcome) pair in order, holding p(outcome | each state's factor)."""
+    rows = [[1.0] * ens.size]
+    for meas in measurements:
+        rows.extend([prob(e, st.factors[party]) for st in ens.states] for e in meas)
+    return np.array(rows)
+
+
+def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
+    """values[j] = max_k priors[k] * prod_a tables[a][j_a, k], parties multiplied in index order.
+
+    States are taken in chunks, so the temporary holds at most
+    max(_CHUNK_ENTRIES, values.size) entries whatever the number of states.
+    """
+    values = np.zeros(tuple(len(t) for t in tables))
+    step = max(1, _CHUNK_ENTRIES // values.size)
+    for lo in range(0, len(priors), step):
+        chunk = slice(lo, lo + step)
+        acc = tables[0][:, chunk] * priors[chunk]
+        for t in tables[1:]:
+            acc = acc[..., None, :] * t[:, chunk]
+        for k in range(acc.shape[-1]):
+            np.maximum(values, acc[..., k], out=values)
+    return values
+
+
+def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> None:
+    """Overwrite every entry that leaves a party unmeasured with its optimal value.
+
+    An entry's measured parties are its axes with a nonzero index.  Subsets
+    of measured parties are walked by decreasing size, so every entry one
+    more measurement leads to is final before it is read.
+    """
+    arity = values.ndim
+    for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
+        rest = tuple(a for a in range(arity) if not measured >> a & 1)
+        here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
+        best = None
+        for a in _movers(rest, cfg, leader, measured == 0):
+            after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
+            lead = (slice(None),) * a  # so the next index applies to axis a
+            counts = [len(m) for m in cfg.measurements[a]]
+            totals = after[lead + (offsets[a],)]
+            for o in range(1, max(counts)):
+                ms = [mi for mi, n in enumerate(counts) if n > o]
+                totals[lead + (ms,)] += after[lead + ([offsets[a][mi] + o for mi in ms],)]
+            value = totals.max(axis=a, keepdims=True)
+            best = value if best is None else np.maximum(best, value)
+        values[here] = best
 
 
 def _global_perfect_verified(ens) -> bool:

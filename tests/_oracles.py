@@ -1,6 +1,7 @@
 """Independent oracles used across the test suite.
 
-Everything here deliberately avoids the library's protocol recursion:
+Everything here deliberately avoids the library's subset-lattice optimizer:
+the recursion solves every subproblem once per party order that reaches it,
 the brute-force enumerator walks all adaptive two-party trees explicitly,
 the simulator draws physical measurement outcomes one sample at a time, and
 golden-section search minimizes the qubit theta-protocol error numerically,
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 import nwe
-from nwe.discrimination import Leaf
+from nwe.discrimination import DiscriminationReport, Leaf
 from nwe.systems import prob
 
 
@@ -26,6 +27,47 @@ def likelihood_tables(ens, cfg):
         ]
         for p in range(ens.arity)
     ]
+
+
+def recursive_optimal_local(ens, cfg, leader=None):
+    """The optimum by explicit recursion over party orders, with the optimizer's tie-break.
+
+    Solves each subproblem once per order in which it is reached, so it is
+    exponentially slower than ``nwe.optimal_local``; inputs are not
+    validated.
+    """
+    arity = ens.arity
+    # lik[p][mi][o] = per-state likelihood vector of outcome o
+    lik = likelihood_tables(ens, cfg)
+
+    def recurse(weights, remaining, forced=None):
+        if not remaining or not weights.any():
+            g = int(np.argmax(weights))
+            return float(weights[g]), Leaf(g)
+        if forced is not None:
+            parties = (forced,)
+        elif cfg.adaptive:
+            parties = remaining
+        else:
+            parties = (remaining[0],)
+        best_value = -1.0
+        best_node = None
+        for a in parties:
+            rest = tuple(x for x in remaining if x != a)
+            for mi in range(len(cfg.measurements[a])):
+                total = 0.0
+                children = []
+                for o in range(len(cfg.measurements[a][mi])):
+                    value, sub = recurse(weights * lik[a][mi][o], rest)
+                    total += value
+                    children.append(sub)
+                if total > best_value:
+                    best_value = total
+                    best_node = cfg.node(a, mi, children)
+        return best_value, best_node
+
+    success, tree = recurse(np.asarray(ens.priors, dtype=float), tuple(range(arity)), leader)
+    return DiscriminationReport(success, 1.0 - success, tree, leader)
 
 
 def brute_force_optimal(priors, lik):
@@ -53,14 +95,14 @@ def brute_force_optimal(priors, lik):
     return best
 
 
-def random_instance(rng):
-    """Random two-party polygon product ensemble with <= 2 measurements per party."""
-    ns = (int(rng.integers(4, 8)), int(rng.integers(4, 8)))
+def random_instance(rng, arity=2, max_measurements=2, max_states=6):
+    """Random polygon product ensemble with 2..max_states states and <= max_measurements per party."""
+    ns = tuple(int(rng.integers(4, 8)) for _ in range(arity))
     parts = tuple(nwe.make_polygon(n) for n in ns)
-    k = int(rng.integers(2, 7))
-    idx = [(int(rng.integers(0, ns[0])), int(rng.integers(0, ns[1]))) for _ in range(k)]
+    k = int(rng.integers(2, max_states + 1))
+    idx = [tuple(int(rng.integers(0, n)) for n in ns) for _ in range(k)]
     states = tuple(
-        nwe.ProductState((parts[0].pure_state(i), parts[1].pure_state(j))) for i, j in idx
+        nwe.ProductState(tuple(part.pure_state(i) for part, i in zip(parts, ix))) for ix in idx
     )
     w = rng.random(k) + 0.1
     w /= w.sum()
@@ -68,7 +110,7 @@ def random_instance(rng):
     per_party = []
     for part in parts:
         total = len(part.extremal_measurements)
-        take = sorted(rng.choice(total, size=min(2, total), replace=False).tolist())
+        take = sorted(rng.choice(total, size=min(max_measurements, total), replace=False).tolist())
         per_party.append(tuple(part.measurement(int(m)) for m in take))
     return ens, nwe.SearchConfig(tuple(per_party))
 

@@ -83,6 +83,17 @@ def test_local_invalid_leader_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "cid, index, count",
+    [("s5", 9, 5), ("q3", 2, 2)],
+)
+def test_local_measurement_index_past_the_count_is_usage_error(capsys, cid, index, count):
+    code, out, err = run(capsys, "local", cid, "--measurements", f"0,{index}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: measurement index {index} out of range: party 0 has {count} measurements\n"
+
+
 def test_local_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "local", "s5", "--bias", "0.2")
     _, second, _ = run(capsys, "local", "s5", "--bias", "0.2")
@@ -145,6 +156,16 @@ def test_signal_identity_csv_weights(capsys):
 def test_signal_bound_exceeded_is_usage_error(capsys):
     code, _, err = run(capsys, "signal", "--identity", "10", "--d", "4")
     assert code == 2
+
+
+def test_signal_n_defaults_to_binary_and_is_polygon_only(capsys):
+    base = ("signal", "--polygon", "5", "--m", "3", "--d", "2")
+    assert run(capsys, *base) == run(capsys, *base, "--n", "2")
+
+    code, out, err = run(capsys, "signal", "--identity", "3", "--d", "2", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n applies to --polygon only\n"
 
 
 def test_signal_needs_exactly_one_mode(capsys):

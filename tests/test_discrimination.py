@@ -4,12 +4,16 @@ The pentagon/hexagon/heptagon optima pinned here were cross-checked two
 independent ways: a physical Monte-Carlo simulation of the reported optimal
 tree (see test_monte_carlo_confirms_reported_tree) and, for two parties,
 exhaustive enumeration of every adaptive protocol (test_matches_brute_force).
+The subset-lattice optimizer is also checked against the explicit recursion
+over party orders it replaced, value and tree.
 Restricting every party to the measurement pair {M0, M1} reproduces the
 classic symmetric-protocol values (7/8 for the pentagon set); with all
 extremal measurements available, asymmetric openings do strictly better.
 """
 
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +23,7 @@ import nwe
 from nwe.catalog import biased, load, load_measurement
 from nwe.composition import CompositeSystem, ProductState, SeparableMeasurement
 from nwe.discrimination import (
+    MAX_MEASUREMENTS_PER_PARTY,
     Leaf,
     MalformedTreeError,
     SearchConfig,
@@ -30,7 +35,13 @@ from nwe.discrimination import (
 )
 from nwe.systems import make_polygon
 
-from _oracles import brute_force_optimal, likelihood_tables, random_instance, simulate_tree
+from _oracles import (
+    brute_force_optimal,
+    likelihood_tables,
+    random_instance,
+    recursive_optimal_local,
+    simulate_tree,
+)
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -312,3 +323,91 @@ def test_measurement_bounds_enforced():
         optimal_local(ens, SearchConfig(too_many))
     with pytest.raises(ValueError):
         optimal_local(ens, SearchConfig.for_ensemble(ens), leader=7)
+
+
+# (arity, measurements per party, most states) of the seeded differential instances
+DIFFERENTIAL_SHAPES = [(2, 3, 6), (3, 3, 8), (4, 2, 8)]
+
+
+@pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)
+def test_lattice_matches_recursion_on_random_instances(arity, measurements, states):
+    rng = np.random.default_rng(400 + arity)
+    for i in range(20):
+        ens, cfg = random_instance(rng, arity, measurements, states)
+        for leader, adaptive in ((None, True), (i % arity, i % 2 == 0)):
+            variant = SearchConfig(cfg.measurements, adaptive)
+            report = optimal_local(ens, variant, leader)
+            oracle = recursive_optimal_local(ens, variant, leader)
+            assert report.success == pytest.approx(oracle.success, abs=1e-12)
+            assert eval_tree(report.tree, ens) == pytest.approx(report.success, abs=1e-12)
+
+
+@pytest.mark.parametrize("cid", ["s4", "s5", "s6", "s7", "q3"])
+@pytest.mark.parametrize("variant", ["all", "fixed-order", "M0,M1"])
+def test_lattice_reproduces_recursion_trees_on_catalog(cid, variant):
+    ens = load(cid)
+    cfg = {
+        "all": SearchConfig.for_ensemble(ens),
+        "fixed-order": SearchConfig.for_ensemble(ens, adaptive=False),
+        "M0,M1": SearchConfig.for_ensemble(ens, indices=[0, 1]),
+    }[variant]
+    for leader in (None, *range(ens.arity)):
+        report = optimal_local(ens, cfg, leader)
+        oracle = recursive_optimal_local(ens, cfg, leader)
+        assert tree_to_text(report.tree) == tree_to_text(oracle.tree)
+        assert report.success == pytest.approx(oracle.success, abs=1e-12)
+
+
+def test_lattice_handles_measurements_with_different_outcome_counts():
+    ens = load("s5")
+    penta = ens.composite.parts[0]
+    half = (penta.effect(0) + penta.effect(2)) / 4.0
+    three = np.array([penta.effect(0) / 4.0, penta.effect(2) / 4.0, penta.unit_effect - half])
+    trivial = np.array([penta.unit_effect])
+    per_party = (
+        (three, trivial),
+        (penta.measurement(1), three),
+        (penta.measurement(0), trivial, penta.measurement(3)),
+    )
+    for adaptive in (True, False):
+        cfg = SearchConfig(per_party, adaptive)
+        for leader in (None, 1):
+            report = optimal_local(ens, cfg, leader)
+            oracle = recursive_optimal_local(ens, cfg, leader)
+            assert report.success == pytest.approx(oracle.success, abs=1e-12)
+            assert eval_tree(report.tree, ens) == pytest.approx(report.success, abs=1e-12)
+
+
+def _largest_accepted_instance(k, seed=17):
+    """Four 17-gon parties with 16 extremal measurements each and k distinct product states."""
+    rng = np.random.default_rng(seed)
+    part = make_polygon(17)
+    picked = set()
+    while len(picked) < k:
+        picked.add(tuple(int(i) for i in rng.integers(0, part.n, size=4)))
+    states = tuple(ProductState(tuple(part.pure_state(i) for i in ix)) for ix in sorted(picked))
+    w = rng.random(k) + 0.1
+    ens = nwe.NamedEnsemble("largest", CompositeSystem((part,) * 4), states, w / w.sum())
+    per_party = tuple(part.measurement(m) for m in range(MAX_MEASUREMENTS_PER_PARTY))
+    return ens, SearchConfig((per_party,) * 4)
+
+
+def _peak_bytes(ens, cfg):
+    tracemalloc.start()
+    try:
+        optimal_local(ens, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_largest_accepted_input_is_fast_and_state_count_free_in_memory():
+    ens, cfg = _largest_accepted_instance(12)
+    start = time.perf_counter()
+    report = optimal_local(ens, cfg)
+    assert time.perf_counter() - start < 5.0
+    assert eval_tree(report.tree, ens) == pytest.approx(report.success, abs=1e-12)
+
+    small = _peak_bytes(ens, cfg)
+    large = _peak_bytes(*_largest_accepted_instance(48))
+    assert large < 1.25 * small  # four times the states, about the same peak
