@@ -18,16 +18,19 @@ seeded with L = priors.  Likelihoods of product states commute, so L
 depends only on the set of observed (party, measurement, outcome) triples,
 not on their order, and ``optimal_local`` solves each subproblem once by
 dynamic programming over the lattice of measured-party subsets (the
-Held-Karp idiom).  Party a's likelihood table holds row 0 of ones ("not
-measured yet") and one row per flattened (measurement, outcome) pair
-j_a = 1..J_a.  One tensor indexed by (j_0, ..., j_{n-1}) starts as the leaf
-values max_k prior_k * prod_a table_a[j_a, k], multiplied in party order.
-Walking subsets by decreasing size, each entry with unmeasured parties (its
-zero axes) becomes the max over those parties and their measurements of
-the outcome sum, added in outcome order; the tree is then rebuilt top-down
-from the finished tensor.  The tensor has prod_a (1 + J_a) entries and the
-leaf values are accumulated a chunk of states at a time, so memory stays
-within a small multiple of it whatever the number of states.
+Held-Karp idiom).  Party a's likelihood table, one ``systems.likelihoods``
+call, holds row 0 of ones ("not measured yet") and one row per flattened
+(measurement, outcome) pair j_a = 1..J_a.  One tensor indexed by (j_0, ...,
+j_{n-1}) starts as the leaf values max_k prior_k * prod_a table_a[j_a, k],
+multiplied in party order.  Walking subsets by decreasing size, each entry
+with unmeasured parties (its zero axes) becomes the max over those parties
+and their measurements of the outcome sum, added in outcome order; the tree
+is then rebuilt top-down from the finished tensor.  A forced leader changes
+only the root step, so one lattice serves every leader: ``leader_optima``
+reads each party's forced-leader optimum off it.  The tensor has
+prod_a (1 + J_a) entries and the leaf values are accumulated a chunk of
+states at a time, so memory stays within a small multiple of it whatever
+the number of states.
 
 Weights are never renormalized, which keeps zero-probability branches
 harmless: an all-zero weight vector becomes a leaf guessing state 0.  Ties
@@ -46,8 +49,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import catalog
-from .composition import SeparableMeasurement, product_prob
-from .systems import DEFAULT_EPS, prob, require_complete
+from .composition import SeparableMeasurement
+from .systems import DEFAULT_EPS, likelihoods, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
@@ -63,6 +66,7 @@ __all__ = [
     "confusion_matrix",
     "delta",
     "eval_tree",
+    "leader_optima",
     "optimal_local",
     "tree_to_text",
 ]
@@ -137,19 +141,21 @@ class DiscriminationReport:
 
 
 def confusion_matrix(M: SeparableMeasurement, ens) -> np.ndarray:
-    """entries[i, j] = p(E_i | phi_j); identity means perfect discrimination."""
-    out = np.empty((len(M.effects), ens.size))
-    for i, E in enumerate(M.effects):
-        for j, phi in enumerate(ens.states):
-            if E.arity != phi.arity:
-                raise ValueError(f"arity mismatch: effect {E.arity} vs state {phi.arity}")
-            out[i, j] = product_prob(E, phi)
+    """entries[i, j] = p(E_i | phi_j), per-party tables multiplied in party order;
+    identity means perfect discrimination."""
+    arities = {X.arity for X in (*M.effects, *ens.states)}
+    if len(arities) > 1:
+        raise ValueError(f"arity mismatch: effects and states have arities {sorted(arities)}")
+    out = 1.0
+    for p in range(arities.pop()):
+        out = out * likelihoods([E.factors[p] for E in M.effects], _factors(ens, p))
     return out
 
 
 def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
     """Success probability of an explicit protocol tree on an ensemble."""
     arity = ens.composite.arity
+    factors = [_factors(ens, p) for p in range(arity)]
 
     def walk(node, weights, used) -> float:
         if isinstance(node, Leaf):
@@ -167,8 +173,7 @@ def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
         unit = ens.composite.parts[node.party].unit_effect
         require_complete(node.effects, unit, f"measurement at party {node.party}")
         total = 0.0
-        for effect, child in zip(node.effects, node.children):
-            lik = np.array([prob(effect, st.factors[node.party], eps) for st in ens.states])
+        for lik, child in zip(likelihoods(node.effects, factors[node.party], eps), node.children):
             total += walk(child, weights * lik, used | {node.party})
         return total
 
@@ -182,28 +187,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    if arity > MAX_ARITY:
-        raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
-    if len(cfg.measurements) != arity:
-        raise ValueError("one measurement list per party required")
-    for p, per in enumerate(cfg.measurements):
-        if not per:
-            raise ValueError(f"party {p} has no allowed measurements")
-        if len(per) > MAX_MEASUREMENTS_PER_PARTY:
-            raise ValueError(
-                f"party {p} has {len(per)} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}"
-            )
-        for m in per:
-            require_complete(m, ens.composite.parts[p].unit_effect, f"measurement at party {p}")
-    if leader is not None and not 0 <= leader < arity:
-        raise ValueError(f"leader {leader} out of range")
-
-    tables = [_likelihood_table(ens, p, per) for p, per in enumerate(cfg.measurements)]
-    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
-    offsets = [list(accumulate((len(m) for m in per[:-1]), initial=0)) for per in cfg.measurements]
-    priors = np.asarray(ens.priors, dtype=float)
-    values = _leaf_values(priors, tables)
-    _bellman(values, offsets, cfg, leader)
+    tables, offsets, values, _ = _lattice(ens, cfg, leader)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
@@ -224,9 +208,44 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
         return cfg.node(a, mi, children)
 
     root = (0,) * arity
-    tree = build(root, tuple(range(arity)), priors)
+    tree = build(root, tuple(range(arity)), np.asarray(ens.priors, dtype=float))
     success = float(values[root])
     return DiscriminationReport(success, 1.0 - success, tree, leader)
+
+
+def leader_optima(ens, cfg: SearchConfig) -> tuple:
+    """``optimal_local(ens, cfg, a).success`` for every party a, from one lattice solve."""
+    return _lattice(ens, cfg, None)[3]
+
+
+def _lattice(ens, cfg: SearchConfig, leader):
+    """Validate, then solve the lattice: (tables, offsets, values, per-leader optima)."""
+    arity = ens.composite.arity
+    if arity > MAX_ARITY:
+        raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
+    if len(cfg.measurements) != arity:
+        raise ValueError("one measurement list per party required")
+    for p, per in enumerate(cfg.measurements):
+        if not per:
+            raise ValueError(f"party {p} has no allowed measurements")
+        if len(per) > MAX_MEASUREMENTS_PER_PARTY:
+            raise ValueError(
+                f"party {p} has {len(per)} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}"
+            )
+        for m in per:
+            require_complete(m, ens.composite.parts[p].unit_effect, f"measurement at party {p}")
+    if leader is not None and not 0 <= leader < arity:
+        raise ValueError(f"leader {leader} out of range")
+
+    tables = [
+        np.vstack([np.ones(ens.size), likelihoods(np.concatenate(per), _factors(ens, p))])
+        for p, per in enumerate(cfg.measurements)
+    ]
+    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
+    offsets = [list(accumulate((len(m) for m in per[:-1]), initial=0)) for per in cfg.measurements]
+    values = _leaf_values(np.asarray(ens.priors, dtype=float), tables)
+    by_leader = _bellman(values, offsets, cfg, leader)
+    return tables, offsets, values, by_leader
 
 
 def _movers(remaining, cfg: SearchConfig, leader, at_root: bool):
@@ -236,13 +255,9 @@ def _movers(remaining, cfg: SearchConfig, leader, at_root: bool):
     return remaining if cfg.adaptive else remaining[:1]
 
 
-def _likelihood_table(ens, party: int, measurements) -> np.ndarray:
-    """(1 + J, K) table: row 0 all ones (not measured yet), then one row per
-    (measurement, outcome) pair in order, holding p(outcome | each state's factor)."""
-    rows = [[1.0] * ens.size]
-    for meas in measurements:
-        rows.extend([prob(e, st.factors[party]) for st in ens.states] for e in meas)
-    return np.array(rows)
+def _factors(ens, party: int) -> np.ndarray:
+    """(K, dim) array of every state's factor at ``party``."""
+    return np.array([st.factors[party] for st in ens.states])
 
 
 def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
@@ -263,19 +278,22 @@ def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
     return values
 
 
-def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> None:
+def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> tuple:
     """Overwrite every entry that leaves a party unmeasured with its optimal value.
 
     An entry's measured parties are its axes with a nonzero index.  Subsets
     of measured parties are walked by decreasing size, so every entry one
-    more measurement leads to is final before it is read.
+    more measurement leads to is final before it is read.  Only the root
+    depends on the leader: returns its value with each party leading.
     """
     arity = values.ndim
+    by_leader = []
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
         here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
+        movers = _movers(rest, cfg, leader, measured == 0)
         best = None
-        for a in _movers(rest, cfg, leader, measured == 0):
+        for a in rest if measured == 0 else movers:
             after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
             lead = (slice(None),) * a  # so the next index applies to axis a
             counts = [len(m) for m in cfg.measurements[a]]
@@ -284,8 +302,12 @@ def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> None:
                 ms = [mi for mi, n in enumerate(counts) if n > o]
                 totals[lead + (ms,)] += after[lead + ([offsets[a][mi] + o for mi in ms],)]
             value = totals.max(axis=a, keepdims=True)
-            best = value if best is None else np.maximum(best, value)
+            if measured == 0:
+                by_leader.append(value.item())
+            if a in movers:
+                best = value if best is None else np.maximum(best, value)
         values[here] = best
+    return tuple(by_leader)
 
 
 def _global_perfect_verified(ens) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .catalog import Q3_ANGLES, PriorFamily, biased, load
-from .discrimination import SearchConfig, optimal_local
+from .discrimination import SearchConfig, leader_optima
 
 CSV_HEADER = "p,delta_poly_a,delta_poly_b,delta_poly,delta_qt_a,delta_qt_b,delta_qt"
 
@@ -120,9 +120,9 @@ class CurvePoint:
 def curve(p_min: float, p_max: float, steps: int) -> list:
     """Pentagon-vs-quantum deltas over a bias grid.
 
-    Per point: the pentagon ensemble delta from the discrimination engine
-    with the leader forced to Alice (a) and the best of Bob/Charlie (b),
-    and the optimal quantum deltas for the same leaders.
+    Per point: the pentagon ensemble deltas from one lattice solve with the
+    leader forced to Alice (a) and the best of Bob/Charlie (b), and the
+    optimal quantum deltas for the same leaders.
     """
     if not 0.0 < p_min < p_max < 0.5:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
@@ -133,9 +133,9 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
         p = float(p)
         family = biased(p)
         ens = load("s5", family)
-        cfg = SearchConfig.for_ensemble(ens)
-        poly_a = 1.0 - optimal_local(ens, cfg, leader=0).success
-        poly_b = min(1.0 - optimal_local(ens, cfg, leader=l).success for l in (1, 2))
+        optima = leader_optima(ens, SearchConfig.for_ensemble(ens))
+        poly_a = 1.0 - optima[0]
+        poly_b = min(1.0 - optima[l] for l in (1, 2))
         qt_a = qt_optimize(family, 0)[1]
         qt_b = min(qt_optimize(family, l)[1] for l in (1, 2))
         points.append(

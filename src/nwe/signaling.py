@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, prob, require_complete
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, likelihoods, require_complete
 
 VERTEX_ENUMERATION_BOUND = 100_000
 MEMBERSHIP_TOL = 1e-7
@@ -51,7 +50,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.ascontiguousarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("channel needs a nonempty 2-D row matrix")
@@ -85,10 +84,8 @@ class DeterministicStrategy:
 
 def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -> Channel:
     """Channel induced by sending one of ``encodings`` and measuring ``decoding``."""
-    effects = [np.asarray(e, dtype=float) for e in decoding]
-    require_complete(effects, sys.unit_effect, "decoding")
-    rows = np.array([[prob(e, np.asarray(w, dtype=float), eps) for e in effects] for w in encodings])
-    return Channel(rows)
+    require_complete(decoding, sys.unit_effect, "decoding")
+    return Channel(likelihoods(decoding, encodings, eps).T)
 
 
 def classical_vertices(m: int, n: int, d: int) -> list:
@@ -101,11 +98,11 @@ def classical_vertices(m: int, n: int, d: int) -> list:
     seen = set()
     for encode in itertools.product(range(d), repeat=m):
         for decode in itertools.product(range(n), repeat=d):
-            ch = DeterministicStrategy(encode, decode).channel(n)
-            key = ch.rows.tobytes()
+            # where each input ends up fixes the channel: build one per composition
+            key = tuple(decode[symbol] for symbol in encode)
             if key not in seen:
                 seen.add(key)
-                out.append(ch)
+                out.append(DeterministicStrategy(encode, decode).channel(n))
     return out
 
 
@@ -131,6 +128,9 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
     separating hyperplane with margin above WITNESS_MARGIN certifies
     exclusion.  Raises InconclusiveMembership when neither margin is met.
     """
+    # scipy.optimize takes most of the package's import time; only here is it needed
+    from scipy.optimize import linprog
+
     if vertices is None:
         vertices = classical_vertices(ch.m, ch.n, d)
     V = np.array([v.rows.ravel() for v in vertices])  # (K, m*n)

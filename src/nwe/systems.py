@@ -42,6 +42,7 @@ __all__ = [
     "ProbabilityBoundError",
     "ZeroOneProfile",
     "find_pair_discriminator",
+    "likelihoods",
     "make_bloch_circle",
     "make_polygon",
     "prob",
@@ -162,6 +163,22 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
     if v < -eps or v > 1.0 + eps:
         raise ProbabilityBoundError(f"inner product {v!r} outside [0, 1]")
     return min(max(v, 0.0), 1.0)
+
+
+def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """(J, K) table of ``prob(effects[j], states[k], eps)``, bit for bit, from one matmul."""
+    effects = np.asarray(effects, dtype=float)
+    states = np.asarray(states, dtype=float)
+    if effects.shape[-1:] != states.shape[-1:]:
+        raise ValueError(f"dimension mismatch: effects {effects.shape} vs states {states.shape}")
+    # numpy hands a product with one row or one column to BLAS gemv, which rounds
+    # differently from the 1-D dot in ``prob``; doubled rows keep it on gemm, which agrees
+    doubled_effects, doubled_states = (np.concatenate([a, a]) for a in (effects, states))
+    v = (doubled_effects @ doubled_states.T)[: len(effects), : len(states)]
+    bad = (v < -eps) | (v > 1.0 + eps)
+    if bad.any():
+        raise ProbabilityBoundError(f"inner product {float(v[bad][0])!r} outside [0, 1]")
+    return np.clip(v, 0.0, 1.0, out=v)
 
 
 def require_complete(effects, unit: np.ndarray, what: str) -> None:

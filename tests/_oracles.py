@@ -5,7 +5,9 @@ the recursion solves every subproblem once per party order that reaches it,
 the brute-force enumerator walks all adaptive two-party trees explicitly,
 the simulator draws physical measurement outcomes one sample at a time, and
 golden-section search minimizes the qubit theta-protocol error numerically,
-independent of its closed form.
+independent of its closed form.  Likelihoods come from scalar ``prob``
+calls, not from ``systems.likelihoods``, so the oracles share none of the
+library's table layer.
 """
 
 import itertools

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nwe
 from nwe.cli import main
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -151,6 +156,26 @@ def test_signal_identity_csv_weights(capsys):
     code, out, _ = run(capsys, "signal", "--identity", "2", "--d", "2", "--csv")
     assert code == 0
     assert "weights," in out
+
+
+def test_only_signal_loads_scipy():
+    script = "\n".join(
+        [
+            "import sys, nwe, nwe.cli",
+            "assert 'scipy.optimize' not in sys.modules",
+            "assert nwe.cli.main(['local', 's5']) == 0",
+            "assert 'scipy.optimize' not in sys.modules",
+            "assert nwe.cli.main(['signal', '--identity', '3', '--d', '2']) == 1",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nwe.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "success = " in done.stdout
+    assert "NOT-IN margin 2" in done.stdout
+    assert "witness c = 1" in done.stdout
 
 
 def test_signal_bound_exceeded_is_usage_error(capsys):

@@ -11,6 +11,7 @@ classic symmetric-protocol values (7/8 for the pentagon set); with all
 extremal measurements available, asymmetric openings do strictly better.
 """
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -21,7 +22,13 @@ import pytest
 
 import nwe
 from nwe.catalog import biased, load, load_measurement
-from nwe.composition import CompositeSystem, ProductState, SeparableMeasurement
+from nwe.composition import (
+    CompositeSystem,
+    ProductEffect,
+    ProductState,
+    SeparableMeasurement,
+    product_prob,
+)
 from nwe.discrimination import (
     MAX_MEASUREMENTS_PER_PARTY,
     Leaf,
@@ -30,6 +37,7 @@ from nwe.discrimination import (
     confusion_matrix,
     delta,
     eval_tree,
+    leader_optima,
     optimal_local,
     tree_to_text,
 )
@@ -63,6 +71,17 @@ def test_confusion_matrix_identity_and_permutation():
     conf2 = confusion_matrix(swapped, ens)
     expected = np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]]
     assert np.abs(conf2 - expected).max() <= 1e-9
+
+
+@pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
+def test_confusion_matrix_equals_the_product_prob_double_loop(cid):
+    ens = load(cid)
+    # the cataloged perfect measurement, and M1 at every party, whose
+    # fractional entries would show a change of multiplication order
+    everyone_m1 = itertools.product(*(part.measurement(1) for part in ens.composite.parts))
+    for M in (load_measurement(cid), SeparableMeasurement(tuple(map(ProductEffect, everyone_m1)))):
+        loop = np.array([[product_prob(E, phi) for phi in ens.states] for E in M.effects])
+        assert np.array_equal(confusion_matrix(M, ens), loop)
 
 
 def test_confusion_matrix_arity_mismatch():
@@ -411,3 +430,55 @@ def test_largest_accepted_input_is_fast_and_state_count_free_in_memory():
     small = _peak_bytes(ens, cfg)
     large = _peak_bytes(*_largest_accepted_instance(48))
     assert large < 1.25 * small  # four times the states, about the same peak
+
+
+def _assert_leader_optima_match(ens, cfg):
+    optima = leader_optima(ens, cfg)
+    assert len(optima) == ens.arity
+    for a, value in enumerate(optima):
+        assert value == optimal_local(ens, cfg, a).success
+
+
+@pytest.mark.parametrize("cid", ["s4", "s5", "s6", "s7", "q3"])
+def test_leader_optima_equal_forced_leader_solves_on_catalog(cid):
+    ens = load(cid)
+    for cfg in (
+        SearchConfig.for_ensemble(ens),
+        SearchConfig.for_ensemble(ens, adaptive=False),
+        SearchConfig.for_ensemble(ens, indices=[0, 1]),
+    ):
+        _assert_leader_optima_match(ens, cfg)
+
+
+@pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
+def test_leader_optima_equal_forced_leader_solves_on_the_bias_grid(cid):
+    for p in np.linspace(0.01, 0.49, 49):
+        ens = load(cid, biased(float(p)))
+        _assert_leader_optima_match(ens, SearchConfig.for_ensemble(ens))
+
+
+@pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)
+def test_leader_optima_equal_forced_leader_solves_on_random_instances(arity, measurements, states):
+    rng = np.random.default_rng(600 + arity)
+    for _ in range(20):
+        ens, cfg = random_instance(rng, arity, measurements, states)
+        for adaptive in (True, False):
+            _assert_leader_optima_match(ens, SearchConfig(cfg.measurements, adaptive))
+
+
+def test_leader_optima_rejects_what_optimal_local_rejects():
+    ens = load("s5")
+    ms = ens.composite.parts[0].measurements()
+    penta = ens.composite.parts[0]
+    bad_configs = [
+        SearchConfig(tuple(tuple(ms * 4) for _ in range(3))),  # above the per-party bound
+        SearchConfig((tuple(ms),) * 2),  # one list short
+        SearchConfig(((), tuple(ms), tuple(ms))),  # a party with nothing to measure
+        SearchConfig(((np.array([penta.effect(0), penta.effect(1)]),), tuple(ms), tuple(ms))),
+    ]
+    for cfg in bad_configs:
+        with pytest.raises(ValueError) as expected:
+            optimal_local(ens, cfg)
+        with pytest.raises(ValueError) as raised:
+            leader_optima(ens, cfg)
+        assert str(raised.value) == str(expected.value)

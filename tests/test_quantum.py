@@ -1,5 +1,6 @@
 """Theta-protocol errors, their closed forms, and the comparison curve."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -190,6 +191,16 @@ def test_polygon_sides_cross_at_one_eighth():
     b = min(1.0 - optimal_local(ens, cfg, leader=l).success for l in (1, 2))
     assert a == pytest.approx(b, abs=1e-9)
     assert a == pytest.approx((1.0 - GOLDEN_CONJUGATE) / 8.0, abs=1e-12)
+
+
+# sha256 of the CSV that `nwe curve 0.01 0.49 49` wrote when the curve ran three
+# forced-leader optimal_local solves per point
+CURVE_49_SHA256 = "666f5eff4ec58aa0df13a130cf641d9d51348482a7971d097a81d89f7e974b6e"
+
+
+def test_full_curve_csv_is_pinned():
+    text = curve_csv(curve(0.01, 0.49, 49))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CURVE_49_SHA256
 
 
 def test_curve_rejects_bad_ranges():

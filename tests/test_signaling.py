@@ -14,7 +14,7 @@ from nwe.signaling import (
     gpt_channel,
     in_classical_polytope,
 )
-from nwe.systems import make_polygon
+from nwe.systems import make_polygon, prob
 
 
 def test_channel_validation():
@@ -52,6 +52,19 @@ def test_squit_channel_table():
     assert_allclose(ch.rows, [[1, 0], [1, 0], [0, 1]], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_channel_rows_equal_the_scalar_table(n):
+    poly = make_polygon(n)
+    encodings = itertools.chain(*(itertools.product(range(n), repeat=m) for m in (1, 2)))
+    for encoding in encodings:
+        states = [poly.pure_state(i) for i in encoding]
+        for mi in range(len(poly.extremal_measurements)):
+            decoding = poly.measurement(mi)
+            ch = gpt_channel(poly, states, decoding)
+            assert np.array_equal(ch.rows, [[prob(e, w) for e in decoding] for w in states])
+            assert ch.rows.flags.c_contiguous
+
+
 def test_incomplete_decoding_rejected():
     penta = make_polygon(5)
     with pytest.raises(ValueError):
@@ -64,6 +77,20 @@ def test_vertex_enumeration_counts():
     verts = classical_vertices(3, 3, 2)
     eye = np.eye(3)
     assert not any(np.array_equal(v.rows, eye) for v in verts)
+
+
+@pytest.mark.parametrize("m, n, d", [(3, 3, 2), (4, 2, 3), (2, 3, 3), (3, 4, 1)])
+def test_vertices_are_each_strategy_channel_once_in_first_seen_order(m, n, d):
+    expected, seen = [], set()
+    for encode in itertools.product(range(d), repeat=m):
+        for decode in itertools.product(range(n), repeat=d):
+            rows = DeterministicStrategy(encode, decode).channel(n).rows
+            if rows.tobytes() not in seen:
+                seen.add(rows.tobytes())
+                expected.append(rows)
+    got = [v.rows for v in classical_vertices(m, n, d)]
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_vertex_enumeration_bound():

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nwe.catalog import default_measurements, load
 from nwe.systems import (
     ProbabilityBoundError,
     find_pair_discriminator,
+    likelihoods,
     make_bloch_circle,
     make_polygon,
     prob,
@@ -180,6 +182,45 @@ def test_prob_snaps_boundary_and_raises_outside():
         prob(2.0 * poly.effect(0), poly.pure_state(0))
     with pytest.raises(ValueError):
         prob(np.ones(2), poly.pure_state(0))
+
+
+def _scalar_table(effects, states):
+    return np.array([[prob(e, w) for w in states] for e in effects])
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_likelihoods_equal_scalar_prob_on_polygons(n):
+    poly = make_polygon(n)
+    effects = np.array([poly.effect(k) for k in range(2 * n)])
+    table = _scalar_table(effects, poly.pure_states)
+    assert np.array_equal(likelihoods(effects, poly.pure_states), table)
+    # one-row and one-column blocks take other BLAS kernels inside numpy
+    for j in range(2 * n):
+        assert np.array_equal(likelihoods(effects[j : j + 1], poly.pure_states), table[j : j + 1])
+        assert np.array_equal(likelihoods(effects[j:], poly.pure_states[j % n :]), table[j:, j % n :])
+    for k in range(n):
+        one = poly.pure_states[k : k + 1]
+        assert np.array_equal(likelihoods(effects, one), table[:, k : k + 1])
+        assert np.array_equal(likelihoods(effects[k : k + 1], one), table[k : k + 1, k : k + 1])
+
+
+def test_likelihoods_equal_scalar_prob_on_q3_bloch_states():
+    ens = load("q3")
+    for p, part in enumerate(ens.composite.parts):
+        states = np.array([state.factors[p] for state in ens.states])
+        effects = np.concatenate(default_measurements(part))
+        assert np.array_equal(likelihoods(effects, states), _scalar_table(effects, states))
+
+
+def test_likelihoods_snap_boundary_and_raise_outside():
+    poly = make_polygon(5)
+    u = poly.unit_effect
+    states = poly.pure_states[:1]
+    assert likelihoods([(1.0 + 1e-10) * u, -1e-10 * u], states).tolist() == [[1.0], [0.0]]
+    with pytest.raises(ProbabilityBoundError):
+        likelihoods([poly.effect(1), 2.0 * poly.effect(0)], states)
+    with pytest.raises(ValueError):
+        likelihoods([np.ones(2)], states)
 
 
 def test_validate_effect():
