@@ -47,7 +47,6 @@ from .quantum import (
 )
 from .signaling import (
     Channel,
-    DeterministicStrategy,
     InconclusiveMembership,
     MembershipResult,
     classical_vertices,

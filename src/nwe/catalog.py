@@ -26,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import (
-    CompositeSystem,
-    ProductEffect,
-    ProductState,
-    SeparableMeasurement,
-    kron,
-    product_prob,
-)
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, make_bloch_circle, make_polygon, prob
+from .composition import CompositeSystem, ProductEffect, ProductState, SeparableMeasurement, kron
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, likelihoods, make_bloch_circle, make_polygon
 
 __all__ = [
     "CATALOG_IDS",
@@ -214,7 +207,7 @@ def load_measurement(ensemble_id: str) -> SeparableMeasurement:
     table = _MEASUREMENT_TABLES.get(ensemble_id)
     if table is None:
         raise ValueError(f"no cataloged discriminating measurement for {ensemble_id!r}")
-    n = int(ensemble_id[1])
+    n = _STATE_TABLES[ensemble_id][0]
     poly = make_polygon(n)
     effects = []
     for row in table:
@@ -228,9 +221,7 @@ def _party_candidates(part) -> list:
     """Deduplicated (label, vector) effect candidates: ray extremals then complements."""
     seen = {}
     for k in range(2 * part.n):
-        key = tuple(np.round(part.effect(k), 12))
-        if key not in seen:
-            seen[key] = (part.effect_label(k), part.effect(k))
+        seen.setdefault(tuple(np.round(part.effect(k), 12)), (part.effect_label(k), part.effect(k)))
     return list(seen.values())
 
 
@@ -264,29 +255,25 @@ def search_perfect_separable(
         return SeparableMeasurement((unit,))
 
     candidates = [_party_candidates(p) for p in comp.parts]
+    # tables[p][j, c]: probability of party p's candidate c on state j's factor there
+    tables = [
+        likelihoods([st.factors[p] for st in ens.states], [vec for _, vec in cands], eps)
+        for p, cands in enumerate(candidates)
+    ]
 
     # Candidate rows are values on all products of pure states; since pure
     # states span R^3 per party, completeness is equivalent to these rows
     # summing to one everywhere.
     per_state = []
     for j in range(k):
-        options = []
-        for p_i, part in enumerate(comp.parts):
-            factor = ens.states[j].factors[p_i]
-            options.append(
-                [(lab, vec) for lab, vec in candidates[p_i] if abs(prob(vec, factor, eps) - 1.0) <= eps]
-            )
+        options = [np.flatnonzero(np.abs(t[j] - 1.0) <= eps) for t in tables]
         rows = []
         for choice in itertools.product(*options):
-            effect = ProductEffect(
-                tuple(vec for _, vec in choice),
-                tuple(lab for lab, _ in choice),
-            )
-            if all(product_prob(effect, ens.states[m], eps) <= eps for m in range(k) if m != j):
-                vertex_values = kron(
-                    [part.pure_states @ vec for part, (_, vec) in zip(comp.parts, choice)]
-                )
-                rows.append((effect, vertex_values))
+            on_states = math.prod(t[:, c] for t, c in zip(tables, choice))  # parties in order
+            if np.all(np.delete(on_states, j) <= eps):
+                labels, vecs = zip(*(cands[c] for cands, c in zip(candidates, choice)))
+                vertex_values = kron([part.pure_states @ vec for part, vec in zip(comp.parts, vecs)])
+                rows.append((ProductEffect(vecs, labels), vertex_values))
         if not rows:
             return None
         per_state.append(rows)

@@ -14,7 +14,6 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -159,23 +158,13 @@ def _signal_polygon(args) -> int:
     sysn = make_polygon(args.polygon)
     try:
         vertices = signaling.classical_vertices(args.m, 2, args.d)
+        channels = signaling.polygon_channels(sysn, args.m, args.eps)
     except signaling.VertexBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    channels = []
-    seen = set()
-    for encoding in itertools.product(range(sysn.n), repeat=args.m):
-        states = [sysn.pure_state(i) for i in encoding]
-        for mi in range(len(sysn.extremal_measurements)):
-            try:
-                ch = signaling.gpt_channel(sysn, states, sysn.measurement(mi), args.eps)
-            except ProbabilityBoundError as exc:
-                print(f"error: {exc} (tolerance --eps {_fmt(args.eps)})", file=sys.stderr)
-                return 2
-            key = np.round(ch.rows, 12).tobytes()
-            if key not in seen:
-                seen.add(key)
-                channels.append(ch)
+    except ProbabilityBoundError as exc:
+        print(f"error: {exc} (tolerance --eps {_fmt(args.eps)})", file=sys.stderr)
+        return 2
     print(
         f"polygon n={args.polygon}: m={args.m} encodings, binary extremal decodings, d={args.d}"
     )

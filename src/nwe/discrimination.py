@@ -50,7 +50,7 @@ import numpy as np
 
 from . import catalog
 from .composition import SeparableMeasurement
-from .systems import DEFAULT_EPS, likelihoods, require_complete
+from .systems import likelihoods, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
@@ -152,7 +152,7 @@ def confusion_matrix(M: SeparableMeasurement, ens) -> np.ndarray:
     return out
 
 
-def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
+def eval_tree(tree, ens) -> float:
     """Success probability of an explicit protocol tree on an ensemble."""
     arity = ens.composite.arity
     factors = [_factors(ens, p) for p in range(arity)]
@@ -173,7 +173,7 @@ def eval_tree(tree, ens, eps: float = DEFAULT_EPS) -> float:
         unit = ens.composite.parts[node.party].unit_effect
         require_complete(node.effects, unit, f"measurement at party {node.party}")
         total = 0.0
-        for lik, child in zip(likelihoods(node.effects, factors[node.party], eps), node.children):
+        for lik, child in zip(likelihoods(node.effects, factors[node.party]), node.children):
             total += walk(child, weights * lik, used | {node.party})
         return total
 
@@ -323,10 +323,10 @@ def _global_perfect_verified(ens) -> bool:
         return False
 
 
-def delta(ens, cfg: SearchConfig, leader: int | None = None, verify_global: bool = True) -> float:
+def delta(ens, cfg: SearchConfig, leader: int | None = None) -> float:
     """1 - optimal local success; warns when no perfect global measurement is verified."""
     report = optimal_local(ens, cfg, leader)
-    if verify_global and not _global_perfect_verified(ens):
+    if not _global_perfect_verified(ens):
         warnings.warn(
             f"no perfect global separable measurement verified for ensemble {ens.id!r}; "
             "the reported value is a local-protocol gap only",

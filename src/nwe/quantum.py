@@ -18,7 +18,7 @@ the discrimination engine over a grid of bias values.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -128,12 +128,13 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    ens = load("s5")
+    cfg = SearchConfig.for_ensemble(ens)
     points = []
     for p in np.linspace(p_min, p_max, steps):
         p = float(p)
         family = biased(p)
-        ens = load("s5", family)
-        optima = leader_optima(ens, SearchConfig.for_ensemble(ens))
+        optima = leader_optima(replace(ens, priors=family.weights(ens.size)), cfg)
         poly_a = 1.0 - optima[0]
         poly_b = min(1.0 - optima[l] for l in (1, 2))
         qt_a = qt_optimize(family, 0)[1]

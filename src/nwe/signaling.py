@@ -1,13 +1,13 @@
 """Single-system channels and membership in the classical d-symbol polytope.
 
 Transmitting an elementary system once induces the channel
-rows[x, y] = p(decoding effect y | encoding state x).  The classical
-reference set for alphabet size d is the convex hull of all deterministic
-encode/decode compositions (input -> one of d symbols -> output); membership
-of a channel in that polytope is decided by linear feasibility over the
-vertex list, returning convex weights as a certificate or a separating
-hyperplane as a witness.  These are finite (m, n, d) certifications only;
-no claim is quantified over all alphabet sizes.
+rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
+reads every polygon channel off one likelihood table.  The classical
+reference set for alphabet size d is the convex hull of the deterministic
+encode/decode compositions (input -> one of d symbols -> output).  Linear
+feasibility over that vertex list decides membership: convex weights
+certify it, a separating hyperplane is the witness against it.  These are
+finite (m, n, d) certifications only; no claim spans all alphabet sizes.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ WITNESS_MARGIN = 1e-9
 
 __all__ = [
     "Channel",
-    "DeterministicStrategy",
     "InconclusiveMembership",
     "MembershipResult",
     "VertexBoundError",
     "classical_vertices",
     "gpt_channel",
     "in_classical_polytope",
+    "polygon_channels",
 ]
 
 
@@ -68,42 +68,48 @@ class Channel:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """encode: input -> symbol among d; decode: symbol -> output."""
-
-    encode: tuple
-    decode: tuple
-
-    def channel(self, n_outputs: int) -> Channel:
-        rows = np.zeros((len(self.encode), n_outputs))
-        for x, symbol in enumerate(self.encode):
-            rows[x, self.decode[symbol]] = 1.0
-        return Channel(rows)
-
-
 def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -> Channel:
     """Channel induced by sending one of ``encodings`` and measuring ``decoding``."""
     require_complete(decoding, sys.unit_effect, "decoding")
     return Channel(likelihoods(decoding, encodings, eps).T)
 
 
+def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
+    """Distinct channels of m pure-state encodings and one binary extremal decoding.
+
+    Each is kept where its entries, rounded to 12 decimals, first occur in the order
+    encodings (``itertools.product``) x measurements; above VERTEX_ENUMERATION_BOUND
+    channels, VertexBoundError is raised before anything is built.
+    """
+    count = len(sys.extremal_measurements)
+    # n >= 3, so capping the exponent keeps the power small and the comparison exact
+    if sys.n ** min(m, 64) * count > VERTEX_ENUMERATION_BOUND:
+        raise VertexBoundError(
+            f"{sys.n}^{m} encodings * {count} decodings exceeds bound {VERTEX_ENUMERATION_BOUND}"
+        )
+    # state-major, so a ProbabilityBoundError names the first offender in generation order
+    table = likelihoods(sys.pure_states, np.concatenate(sys.measurements()), eps).reshape(sys.n, count, 2)
+    encodings = list(itertools.product(range(sys.n), repeat=m))
+    generated = table[encodings].transpose(0, 2, 1, 3).reshape(-1, m, 2)
+    first = {}  # keyed on bytes: comparing values would merge -0.0 with 0.0
+    for i, rows in enumerate(np.round(generated, 12)):
+        first.setdefault(rows.tobytes(), i)
+    return [Channel(rows) for rows in generated[list(first.values())]]
+
+
 def classical_vertices(m: int, n: int, d: int) -> list:
-    """All distinct 0/1 channels realizable with d noiseless symbols."""
+    """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order."""
     if d**m * n**d > VERTEX_ENUMERATION_BOUND:
         raise VertexBoundError(
             f"d^m * n^d = {d**m * n**d} exceeds bound {VERTEX_ENUMERATION_BOUND}"
         )
-    out = []
-    seen = set()
-    for encode in itertools.product(range(d), repeat=m):
-        for decode in itertools.product(range(n), repeat=d):
-            # where each input ends up fixes the channel: build one per composition
-            key = tuple(decode[symbol] for symbol in encode)
-            if key not in seen:
-                seen.add(key)
-                out.append(DeterministicStrategy(encode, decode).channel(n))
-    return out
+    # where each input ends up fixes the channel: one vertex per composition
+    compositions = dict.fromkeys(
+        tuple(decode[symbol] for symbol in encode)
+        for encode in itertools.product(range(d), repeat=m)
+        for decode in itertools.product(range(n), repeat=d)
+    )
+    return [Channel(rows) for rows in np.eye(n)[list(compositions)]]
 
 
 @dataclass(frozen=True, eq=False)

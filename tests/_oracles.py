@@ -5,19 +5,27 @@ the recursion solves every subproblem once per party order that reaches it,
 the brute-force enumerator walks all adaptive two-party trees explicitly,
 the simulator draws physical measurement outcomes one sample at a time, and
 golden-section search minimizes the qubit theta-protocol error numerically,
-independent of its closed form.  Likelihoods come from scalar ``prob``
-calls, not from ``systems.likelihoods``, so the oracles share none of the
-library's table layer.
+independent of its closed form.  Polygon channels are built with one
+``gpt_channel`` call per (encoding, measurement) and deduplicated afterwards,
+classical vertices one deterministic strategy at a time, and the
+measurement search filters its candidates with scalar ``prob`` and
+``product_prob`` calls.  Apart from ``gpt_channel``, which reads one small
+table per channel, likelihoods come from scalar ``prob`` calls, not from
+``systems.likelihoods``.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import nwe
+from nwe.catalog import SearchSpaceTooLarge, _party_candidates
+from nwe.composition import ProductEffect, SeparableMeasurement, kron, product_prob
 from nwe.discrimination import DiscriminationReport, Leaf
-from nwe.systems import prob
+from nwe.signaling import Channel, gpt_channel
+from nwe.systems import DEFAULT_EPS, prob
 
 
 def likelihood_tables(ens, cfg):
@@ -158,3 +166,97 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> tuple:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """encode: input -> symbol among d; decode: symbol -> output."""
+
+    encode: tuple
+    decode: tuple
+
+    def channel(self, n_outputs: int) -> Channel:
+        rows = np.zeros((len(self.encode), n_outputs))
+        for x, symbol in enumerate(self.encode):
+            rows[x, self.decode[symbol]] = 1.0
+        return Channel(rows)
+
+
+def per_channel_polygon_channels(sysn, m, eps=DEFAULT_EPS):
+    """Distinct polygon channels, one ``gpt_channel`` per (encoding, measurement), deduplicated after building."""
+    channels = []
+    seen = set()
+    for encoding in itertools.product(range(sysn.n), repeat=m):
+        states = [sysn.pure_state(i) for i in encoding]
+        for mi in range(len(sysn.extremal_measurements)):
+            ch = gpt_channel(sysn, states, sysn.measurement(mi), eps)
+            key = np.round(ch.rows, 12).tobytes()
+            if key not in seen:
+                seen.add(key)
+                channels.append(ch)
+    return channels
+
+
+def scalar_search_perfect_separable(ens, node_budget=1_000_000, eps=DEFAULT_EPS):
+    """``catalog.search_perfect_separable`` with its candidates filtered by scalar probabilities."""
+    comp = ens.composite
+    if comp.arity > 3:
+        raise ValueError("measurement search supports arity <= 3")
+    if any(p.kind != "polygon" for p in comp.parts):
+        raise ValueError("measurement search supports polygon parties only")
+    k = ens.size
+    if k == 1:
+        unit = ProductEffect(
+            tuple(p.unit_effect for p in comp.parts),
+            tuple("u" for _ in comp.parts),
+        )
+        return SeparableMeasurement((unit,))
+
+    candidates = [_party_candidates(p) for p in comp.parts]
+    per_state = []
+    for j in range(k):
+        options = []
+        for p_i, part in enumerate(comp.parts):
+            factor = ens.states[j].factors[p_i]
+            options.append(
+                [(lab, vec) for lab, vec in candidates[p_i] if abs(prob(vec, factor, eps) - 1.0) <= eps]
+            )
+        rows = []
+        for choice in itertools.product(*options):
+            effect = ProductEffect(
+                tuple(vec for _, vec in choice),
+                tuple(lab for lab, _ in choice),
+            )
+            if all(product_prob(effect, ens.states[m], eps) <= eps for m in range(k) if m != j):
+                vertex_values = kron(
+                    [part.pure_states @ vec for part, (_, vec) in zip(comp.parts, choice)]
+                )
+                rows.append((effect, vertex_values))
+        if not rows:
+            return None
+        per_state.append(rows)
+
+    total_vertices = math.prod(p.n for p in comp.parts)
+    nodes = 0
+
+    def dfs(j, running):
+        nonlocal nodes
+        if j == k:
+            if float(np.max(np.abs(running - 1.0))) <= DEFAULT_EPS:
+                return []
+            return None
+        for effect, row in per_state[j]:
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchSpaceTooLarge(f"exceeded node budget {node_budget}")
+            stacked = running + row
+            if float(stacked.max()) <= 1.0 + DEFAULT_EPS:
+                rest = dfs(j + 1, stacked)
+                if rest is not None:
+                    return [effect] + rest
+        return None
+
+    found = dfs(0, np.zeros(total_vertices))
+    if found is None:
+        return None
+    return SeparableMeasurement(tuple(found))

@@ -1,5 +1,6 @@
 """Cataloged ensembles, prior families, and the measurement search oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from nwe.catalog import (
 from nwe.composition import CompositeSystem, ProductState, check_complete
 from nwe.discrimination import confusion_matrix
 from nwe.systems import make_polygon
+
+from _oracles import scalar_search_perfect_separable
 
 
 def test_uniform_weights():
@@ -195,3 +198,33 @@ def test_search_returns_none_for_indistinguishable_states():
         np.array([0.5, 0.5]),
     )
     assert search_perfect_separable(ens) is None
+
+
+def _pattern_ensemble(n, h, a, b):
+    """The 8-state pattern of s5/s6/s7 on an n-gon: w0^3, wh^3 and the (a, b) pairs around them."""
+    poly = make_polygon(n)
+    rows = ((0, 0, 0), (h, h, h), (a, 0, h), (b, 0, h), (0, h, a), (0, h, b), (h, a, 0), (h, b, 0))
+    states = tuple(ProductState(tuple(poly.pure_state(i) for i in row)) for row in rows)
+    return nwe.NamedEnsemble("pattern", CompositeSystem((poly,) * 3), states, np.full(8, 0.125))
+
+
+def _search_outcome(search, ens, budget):
+    try:
+        found = search(ens, node_budget=budget)
+    except SearchSpaceTooLarge as exc:
+        return str(exc)
+    return None if found is None else tuple(e.labels for e in found.effects)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_search_matches_scalar_oracle_on_patterns(n):
+    # a budget of 30 nodes runs out on some patterns, so node counts are compared too
+    outcomes = set()
+    for h in range(1, n):
+        for a, b in itertools.combinations(range(n), 2):
+            ens = _pattern_ensemble(n, h, a, b)
+            for budget in (20_000, 30):
+                got = _search_outcome(search_perfect_separable, ens, budget)
+                assert got == _search_outcome(scalar_search_perfect_separable, ens, budget), (h, a, b, budget)
+                outcomes.add(type(got))
+    assert outcomes == {tuple, type(None), str}

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -183,6 +184,14 @@ def test_signal_bound_exceeded_is_usage_error(capsys):
     assert code == 2
 
 
+def test_signal_channel_enumeration_bound_is_usage_error(capsys):
+    # one symbol admits only 2 vertices, but 9^8 * 9 channels would be generated
+    code, out, err = run(capsys, "signal", "--polygon", "9", "--m", "8", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 9^8 encodings * 9 decodings exceeds bound 100000\n"
+
+
 def test_signal_n_defaults_to_binary_and_is_polygon_only(capsys):
     base = ("signal", "--polygon", "5", "--m", "3", "--d", "2")
     assert run(capsys, *base) == run(capsys, *base, "--n", "2")
@@ -296,6 +305,44 @@ def test_pinned_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == PINNED_STDOUT[argv]
+
+
+GOLDEN_CLI = Path(__file__).parents[1] / "perfbench" / "golden" / "cli.json"
+# The README headline commands recorded in GOLDEN_CLI; "{out}" is the curve CSV path.
+GOLDEN_COMMANDS = (
+    ("info",),
+    ("verify", "s5"),
+    ("local", "s5"),
+    ("local", "s7"),
+    ("local", "s5", "--measurements", "0,1"),
+    ("local", "s4", "--leader", "bob"),
+    ("local", "s5", "--bias", "0.2"),
+    ("search-measurement", "s5"),
+    ("signal", "--polygon", "5", "--m", "3", "--n", "2", "--d", "2"),
+    ("signal", "--identity", "3", "--d", "2"),
+    ("signal", "--polygon", "7", "--m", "4", "--n", "2", "--d", "3"),
+    ("curve", "0.1", "0.4", "3", "{out}"),
+)
+
+
+def _golden_key(argv):
+    return "_".join(w.lstrip("-").replace(",", "_") for w in argv if w != "{out}")
+
+
+def test_golden_commands_cover_the_golden_file():
+    golden = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(_golden_key(argv) for argv in GOLDEN_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+def test_golden_cli_replay(capsys, tmp_path, argv):
+    expected = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))[_golden_key(argv)]
+    out_path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, *(str(out_path) if a == "{out}" else a for a in argv))
+    assert code == expected["exit"]
+    assert out.replace(str(out_path), "{out}") == expected["stdout"]
+    csv = out_path.read_text(encoding="utf-8") if "{out}" in argv else None
+    assert csv == expected["csv"]
 
 
 @pytest.mark.parametrize(

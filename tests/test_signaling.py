@@ -7,14 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nwe.signaling import (
+    VERTEX_ENUMERATION_BOUND,
     Channel,
-    DeterministicStrategy,
     VertexBoundError,
     classical_vertices,
     gpt_channel,
     in_classical_polytope,
+    polygon_channels,
 )
-from nwe.systems import make_polygon, prob
+from nwe.systems import ProbabilityBoundError, make_polygon, prob
+
+from _oracles import DeterministicStrategy, per_channel_polygon_channels
 
 
 def test_channel_validation():
@@ -28,6 +31,7 @@ def test_channel_validation():
 def test_deterministic_strategy_channel():
     ch = DeterministicStrategy((0, 1, 0), (2, 0)).channel(3)
     assert_allclose(ch.rows, [[0, 0, 1], [1, 0, 0], [0, 0, 1]], atol=0)
+    assert any(np.array_equal(v.rows, ch.rows) for v in classical_vertices(3, 3, 2))
 
 
 def test_pentagon_channel_from_zero_one_pair():
@@ -63,6 +67,44 @@ def test_channel_rows_equal_the_scalar_table(n):
             ch = gpt_channel(poly, states, decoding)
             assert np.array_equal(ch.rows, [[prob(e, w) for e in decoding] for w in states])
             assert ch.rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n, m", [*itertools.product(range(3, 10), (1, 2, 3)), (7, 4)])
+def test_polygon_channels_equal_the_per_channel_loop(n, m):
+    poly = make_polygon(n)
+    got = polygon_channels(poly, m)
+    expected = per_channel_polygon_channels(poly, m)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a.rows, b.rows) for a, b in zip(got, expected))
+    assert all(a.rows.tobytes() == b.rows.tobytes() for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_polygon_channels_raise_the_per_channel_error_below_rounding(n):
+    # at eps = 1e-300 rounding residues such as -5.6e-17 are out of bounds
+    poly = make_polygon(n)
+    for m in (1, 2):
+        try:
+            expected = per_channel_polygon_channels(poly, m, 1e-300)
+        except ProbabilityBoundError as exc:
+            with pytest.raises(ProbabilityBoundError) as raised:
+                polygon_channels(poly, m, 1e-300)
+            assert str(raised.value) == str(exc)
+        else:
+            got = polygon_channels(poly, m, 1e-300)
+            assert all(np.array_equal(a.rows, b.rows) for a, b in zip(got, expected))
+    if n == 5:
+        with pytest.raises(ProbabilityBoundError, match=r"-5\.551115123125783e-17"):
+            polygon_channels(poly, 1, 1e-300)
+
+
+def test_polygon_channel_enumeration_bound():
+    nonagon = make_polygon(9)
+    assert 9**4 * 9 <= VERTEX_ENUMERATION_BOUND < 9**5 * 9
+    assert len(polygon_channels(nonagon, 4)) > 0
+    for m in (5, 8, 10**9):  # the check comes before any power or table is built
+        with pytest.raises(VertexBoundError, match=f"9\\^{m} encodings"):
+            polygon_channels(nonagon, m)
 
 
 def test_incomplete_decoding_rejected():
