@@ -3,11 +3,23 @@
 Five ensembles are cataloged under stable string ids:
 
     s4  four 2-party squit products, locally discriminable only Alice-first
-    s5  eight 3-party pentagon products with a perfect separable measurement
-    s6  eight 3-party hexagon products with a perfect separable measurement
-    s7  eight 3-party heptagon products with a perfect separable measurement
+    s5  eight 3-party pentagon products, pattern (h, a, b) = (2, 1, 4)
+    s6  eight 3-party hexagon products, pattern (3, 1, 5)
+    s7  eight 3-party heptagon products, pattern (3, 1, 5)
     q3  the eight 3-qubit products |000>, |111>, |+01>, |-01>, |01+>, |01->,
         |1+0>, |1-0>, stored as Bloch-circle angles (all lie in the XZ plane)
+
+The 8-state sets are one construction in the style of Bennett et al.
+(PRA 59, 1070 (1999)), the pattern
+
+    (0,0,0), (h,h,h), (a,0,h), (b,0,h), (0,h,a), (0,h,b), (h,a,0), (h,b,0)
+
+of pure-state indices w_i on the n-gon, or of angles on the circle for q3
+(0, pi, pi/2, 3 pi/2 for |0>, |1>, |+>, |->).  Each polygon id comes with a
+perfect separable measurement built the same way: every party answers w0
+and wh with the two outcomes of its extremal measurement 0, and wa and wb
+with those of measurement 1.  That this rule discriminates perfectly is
+checked for s5, s6 and s7, not claimed for every pattern.
 
 The 8-state sets come with either the uniform prior or the biased family
 placing weight p on states 3 and 4 (1-indexed) and (1 - 2p)/6 on the rest.
@@ -49,72 +61,30 @@ class SearchSpaceTooLarge(RuntimeError):
     """The measurement search exceeded its node budget."""
 
 
-# Per-party pure-state indices of the cataloged sets.
-_S4_STATES = ((0, 0), (0, 3), (1, 0), (2, 1))
-_S5_STATES = (
-    (0, 0, 0), (2, 2, 2), (1, 0, 2), (4, 0, 2),
-    (0, 2, 1), (0, 2, 4), (2, 1, 0), (2, 4, 0),
-)
-_S67_STATES = (
-    (0, 0, 0), (3, 3, 3), (1, 0, 3), (5, 0, 3),
-    (0, 3, 1), (0, 3, 5), (3, 1, 0), (3, 5, 0),
-)
+def _pattern(h, a, b, o=0):
+    """The eight 3-party rows shared by s5, s6, s7 and q3, with o in the role of w0."""
+    return ((o, o, o), (h, h, h), (a, o, h), (b, o, h), (o, h, a), (o, h, b), (h, a, o), (h, b, o))
+
 
 _PI = math.pi
 # Bloch-circle angles: |0> -> 0, |1> -> pi, |+> -> pi/2, |-> -> 3 pi/2.
-Q3_ANGLES = (
-    (0.0, 0.0, 0.0),
-    (_PI, _PI, _PI),
-    (0.5 * _PI, 0.0, _PI),
-    (1.5 * _PI, 0.0, _PI),
-    (0.0, _PI, 0.5 * _PI),
-    (0.0, _PI, 1.5 * _PI),
-    (_PI, 0.5 * _PI, 0.0),
-    (_PI, 1.5 * _PI, 0.0),
-)
+Q3_ANGLES = _pattern(_PI, 0.5 * _PI, 1.5 * _PI, 0.0)
 
 # Finite default measurement set of a Bloch-circle party: the computational
 # (Z) and conjugate (X) bases.
 _CIRCLE_BASES = ((0.0, _PI), (0.5 * _PI, 1.5 * _PI))
 
-# Per-state factor tables by id, with the polygon size (None: Bloch circle).
+# Polygon size and pattern (h, a, b) of each polygon 8-state id.
+_PATTERNS = {"s5": (5, 2, 1, 4), "s6": (6, 3, 1, 5), "s7": (7, 3, 1, 5)}
+
+# Per-state factor tables by id, with the polygon size (None: Bloch circle):
+# pure-state indices on a polygon, angles on the circle.
 _STATE_TABLES = {
-    "s4": (4, _S4_STATES),
-    "s5": (5, _S5_STATES),
-    "s6": (6, _S67_STATES),
-    "s7": (7, _S67_STATES),
+    "s4": (4, ((0, 0), (0, 3), (1, 0), (2, 1))),
+    **{cid: (n, _pattern(h, a, b)) for cid, (n, h, a, b) in _PATTERNS.items()},
     "q3": (None, Q3_ANGLES),
 }
 CATALOG_IDS = tuple(_STATE_TABLES)
-
-# Discriminating measurements as per-party factor tags:
-# ("e", i) is the ray-extremal e_i, ("c", i) its complement ebar_i.
-_MEASUREMENT_TABLES = {
-    "s5": (
-        (("e", 0), ("e", 0), ("e", 0)),
-        (("c", 0), ("c", 0), ("c", 0)),
-        (("e", 1), ("e", 0), ("c", 0)),
-        (("c", 1), ("e", 0), ("c", 0)),
-        (("e", 0), ("c", 0), ("e", 1)),
-        (("e", 0), ("c", 0), ("c", 1)),
-        (("c", 0), ("e", 1), ("e", 0)),
-        (("c", 0), ("c", 1), ("e", 0)),
-    ),
-    # For the hexagon e_{i+3} = ebar_i, so this is the same complement
-    # pattern written with ray-extremal indices throughout.
-    "s6": (
-        (("e", 0), ("e", 0), ("e", 0)),
-        (("e", 3), ("e", 3), ("e", 3)),
-        (("e", 1), ("e", 0), ("e", 3)),
-        (("e", 4), ("e", 0), ("e", 3)),
-        (("e", 0), ("e", 3), ("e", 1)),
-        (("e", 0), ("e", 3), ("e", 4)),
-        (("e", 3), ("e", 1), ("e", 0)),
-        (("e", 3), ("e", 4), ("e", 0)),
-    ),
-}
-# The heptagon shares the pentagon's odd-n complement pattern.
-_MEASUREMENT_TABLES["s7"] = _MEASUREMENT_TABLES["s5"]
 
 
 @dataclass(frozen=True)
@@ -204,17 +174,16 @@ def default_measurements(part) -> list:
 
 def load_measurement(ensemble_id: str) -> SeparableMeasurement:
     """The cataloged perfectly discriminating separable measurement (s5, s6, s7 only)."""
-    table = _MEASUREMENT_TABLES.get(ensemble_id)
-    if table is None:
+    if ensemble_id not in _PATTERNS:
         raise ValueError(f"no cataloged discriminating measurement for {ensemble_id!r}")
-    n = _STATE_TABLES[ensemble_id][0]
-    poly = make_polygon(n)
-    effects = []
-    for row in table:
-        factors = tuple(poly.effect(i if tag == "e" else n + i) for tag, i in row)
-        labels = tuple(f"e{i}" if tag == "e" else f"eb{i}" for tag, i in row)
-        effects.append(ProductEffect(factors, labels))
-    return SeparableMeasurement(tuple(effects))
+    poly = make_polygon(_PATTERNS[ensemble_id][0])
+    (o, h), (a, b) = poly.extremal_measurements[:2]
+    return SeparableMeasurement(
+        tuple(
+            ProductEffect(tuple(poly.effect(k) for k in row), tuple(poly.effect_label(k) for k in row))
+            for row in _pattern(h, a, b, o)
+        )
+    )
 
 
 def _party_candidates(part) -> list:

@@ -99,10 +99,9 @@ def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
 
 def classical_vertices(m: int, n: int, d: int) -> list:
     """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order."""
-    if d**m * n**d > VERTEX_ENUMERATION_BOUND:
-        raise VertexBoundError(
-            f"d^m * n^d = {d**m * n**d} exceeds bound {VERTEX_ENUMERATION_BOUND}"
-        )
+    # capped exponents keep the powers small: a base of 1 stays 1, any larger base exceeds the bound
+    if d ** min(m, 64) * n ** min(d, 64) > VERTEX_ENUMERATION_BOUND:
+        raise VertexBoundError(f"{d}^{m} * {n}^{d} exceeds bound {VERTEX_ENUMERATION_BOUND}")
     # where each input ends up fixes the channel: one vertex per composition
     compositions = dict.fromkeys(
         tuple(decode[symbol] for symbol in encode)

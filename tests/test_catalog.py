@@ -72,6 +72,21 @@ def test_s5_states_resolve_pentagon_vertices():
             assert_allclose(factor, penta.pure_state(i), atol=0)
 
 
+def test_q3_angles_pinned():
+    pi = math.pi
+    assert Q3_ANGLES == (
+        (0.0, 0.0, 0.0),
+        (pi, pi, pi),
+        (0.5 * pi, 0.0, pi),
+        (1.5 * pi, 0.0, pi),
+        (0.0, pi, 0.5 * pi),
+        (0.0, pi, 1.5 * pi),
+        (pi, 0.5 * pi, 0.0),
+        (pi, 1.5 * pi, 0.0),
+    )
+    assert all(type(a) is float for row in Q3_ANGLES for a in row)
+
+
 def test_q3_grouping_angles():
     first_party = [angles[0] for angles in Q3_ANGLES]
     g1 = [first_party[i] for i in (0, 2, 4, 5)]
@@ -85,37 +100,52 @@ def test_q3_grouping_angles():
             assert_allclose(factor, circ.state_at(a), atol=0)
 
 
+@pytest.mark.parametrize("cid, n, h, a, b", [("s5", 5, 2, 1, 4), ("s6", 6, 3, 1, 5), ("s7", 7, 3, 1, 5)])
+def test_polygon_ids_are_the_eight_state_pattern(cid, n, h, a, b):
+    got, want = load(cid), _pattern_ensemble(n, h, a, b)
+    assert got.size == want.size == 8
+    for phi, ref in zip(got.states, want.states):
+        assert all(np.array_equal(f, g) for f, g in zip(phi.factors, ref.factors))
+
+
 def test_unknown_id_rejected():
     with pytest.raises(KeyError):
         load("s9")
 
 
-def test_s5_measurement_labels():
-    M = load_measurement("s5")
-    expected = [
-        ("e0", "e0", "e0"),
-        ("eb0", "eb0", "eb0"),
-        ("e1", "e0", "eb0"),
-        ("eb1", "e0", "eb0"),
-        ("e0", "eb0", "e1"),
-        ("e0", "eb0", "eb1"),
-        ("eb0", "e1", "e0"),
-        ("eb0", "eb1", "e0"),
-    ]
-    assert [e.labels for e in M.effects] == expected
+_ODD_LABELS = (
+    ("e0", "e0", "e0"),
+    ("eb0", "eb0", "eb0"),
+    ("e1", "e0", "eb0"),
+    ("eb1", "e0", "eb0"),
+    ("e0", "eb0", "e1"),
+    ("e0", "eb0", "eb1"),
+    ("eb0", "e1", "e0"),
+    ("eb0", "eb1", "e0"),
+)
+# on the hexagon the complement of e_i is the ray extremal e_{i+3}
+_HEXAGON_LABELS = (
+    ("e0", "e0", "e0"),
+    ("e3", "e3", "e3"),
+    ("e1", "e0", "e3"),
+    ("e4", "e0", "e3"),
+    ("e0", "e3", "e1"),
+    ("e0", "e3", "e4"),
+    ("e3", "e1", "e0"),
+    ("e3", "e4", "e0"),
+)
 
 
-def test_s7_measurement_head_rows():
-    M = load_measurement("s7")
-    assert M.effects[0].labels == ("e0", "e0", "e0")
-    assert M.effects[1].labels == ("eb0", "eb0", "eb0")
-
-
-def test_s6_measurement_uses_ray_extremal_indices():
-    M = load_measurement("s6")
-    assert M.effects[0].labels == ("e0", "e0", "e0")
-    assert M.effects[1].labels == ("e3", "e3", "e3")
-    assert M.effects[3].labels == ("e4", "e0", "e3")
+@pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
+def test_catalog_measurement_labels(cid):
+    M = load_measurement(cid)
+    assert tuple(e.labels for e in M.effects) == (_HEXAGON_LABELS if cid == "s6" else _ODD_LABELS)
+    n = int(cid[1:])
+    poly = make_polygon(n)
+    index = {poly.effect_label(k): k for k in range(2 * n)}
+    for e in M.effects:
+        for factor, label in zip(e.factors, e.labels):
+            assert np.array_equal(factor, poly.effect(index[label]))
 
 
 @pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
@@ -127,9 +157,9 @@ def test_catalog_measurement_discriminates_perfectly(cid):
     assert check_complete(ens.composite, M)
 
 
-@pytest.mark.parametrize("cid", ["s4", "q3"])
+@pytest.mark.parametrize("cid", ["s4", "q3", "s9"])
 def test_ids_without_cataloged_measurement(cid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^no cataloged discriminating measurement for '{cid}'$"):
         load_measurement(cid)
 
 

@@ -192,6 +192,13 @@ def test_signal_channel_enumeration_bound_is_usage_error(capsys):
     assert err == "error: 9^8 encodings * 9 decodings exceeds bound 100000\n"
 
 
+def test_signal_vertex_bound_with_huge_alphabet_is_usage_error(capsys):
+    # 10^5000 has too many digits to print, so the message states the powers instead
+    code, out, err = run(capsys, "signal", "--identity", "10", "--d", "5000")
+    assert (code, out) == (2, "")
+    assert err == "error: 5000^10 * 10^5000 exceeds bound 100000\n"
+
+
 def test_signal_n_defaults_to_binary_and_is_polygon_only(capsys):
     base = ("signal", "--polygon", "5", "--m", "3", "--d", "2")
     assert run(capsys, *base) == run(capsys, *base, "--n", "2")
