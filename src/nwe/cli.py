@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-measurement", help="brute-force a perfect separable measurement")
     p.add_argument("id")
-    p.add_argument("--budget", type=int, default=1_000_000, help="search node budget")
+    p.add_argument("--budget", type=_POSITIVE, default=1_000_000, help="search node budget")
     add_eps(p)
     p.set_defaults(func=cmd_search)
 

@@ -27,10 +27,15 @@ with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
 is then rebuilt top-down from the finished tensor.  A forced leader changes
 only the root step, so one lattice serves every leader: ``leader_optima``
-reads each party's forced-leader optimum off it.  The tensor has
-prod_a (1 + J_a) entries and the leaf values are accumulated a chunk of
-states at a time, so memory stays within a small multiple of it whatever
-the number of states.
+reads each party's forced-leader optimum off it.  Ensembles that differ only
+in their priors share the tables, so ``leader_optima`` gives the tensor a
+trailing axis with one row of priors per ensemble; products, sums and maxima
+are elementwise, so every row equals its own solve bit for bit.  The tensor
+has prod_a (1 + J_a) entries per row, and ``leader_optima`` solves
+max(1, _CHUNK_ENTRIES // prod_a (1 + J_a)) rows at a time (49 for the
+pentagon set).  The leaf values are accumulated a chunk of states at a
+time, so memory stays within a small multiple of one block's tensor
+whatever the number of states or priors.
 
 Weights are never renormalized, which keeps zero-probability branches
 harmless: an all-zero weight vector becomes a leaf guessing state 0.  Ties
@@ -42,9 +47,10 @@ multiplied along the path.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -187,7 +193,9 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    tables, offsets, values, _ = _lattice(ens, cfg, leader)
+    tables, offsets = _tables(ens, cfg, leader)
+    values = _leaf_values(np.asarray(ens.priors, dtype=float), tables)
+    _bellman(values, offsets, cfg, leader)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
@@ -213,13 +221,33 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     return DiscriminationReport(success, 1.0 - success, tree, leader)
 
 
-def leader_optima(ens, cfg: SearchConfig) -> tuple:
-    """``optimal_local(ens, cfg, a).success`` for every party a, from one lattice solve."""
-    return _lattice(ens, cfg, None)[3]
+def leader_optima(ensembles, cfg: SearchConfig) -> list:
+    """``optimal_local(ens, cfg, a).success`` for every party a, one tuple per ensemble.
+
+    The ensembles (any iterable) must share one states tuple, so only their
+    priors differ: the config is validated and the likelihood tables are
+    built once, and each block of ensembles is one lattice solve with a
+    trailing prior axis.  Only one block of ensembles is held at a time.
+    """
+    ensembles = iter(ensembles)
+    first = next(ensembles, None)
+    if first is None:
+        return []
+    tables, offsets = _tables(first, cfg, None)
+    per_block = max(1, _CHUNK_ENTRIES // math.prod(len(t) for t in tables))
+    ensembles = chain([first], ensembles)
+    rows = []
+    while block := list(islice(ensembles, per_block)):
+        if any(ens.states != first.states for ens in block):
+            raise ValueError("leader_optima needs ensembles that share one states tuple")
+        priors = np.array([ens.priors for ens in block], dtype=float)
+        by_leader = _bellman(_leaf_values(priors, tables), offsets, cfg, None)
+        rows.extend(zip(*(v.tolist() for v in by_leader)))
+    return rows
 
 
-def _lattice(ens, cfg: SearchConfig, leader):
-    """Validate, then solve the lattice: (tables, offsets, values, per-leader optima)."""
+def _tables(ens, cfg: SearchConfig, leader):
+    """Validate, then build each party's likelihood table: (tables, offsets)."""
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
@@ -243,9 +271,7 @@ def _lattice(ens, cfg: SearchConfig, leader):
     ]
     # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
     offsets = [list(accumulate((len(m) for m in per[:-1]), initial=0)) for per in cfg.measurements]
-    values = _leaf_values(np.asarray(ens.priors, dtype=float), tables)
-    by_leader = _bellman(values, offsets, cfg, leader)
-    return tables, offsets, values, by_leader
+    return tables, offsets
 
 
 def _movers(remaining, cfg: SearchConfig, leader, at_root: bool):
@@ -263,19 +289,22 @@ def _factors(ens, party: int) -> np.ndarray:
 def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
     """values[j] = max_k priors[k] * prod_a tables[a][j_a, k], parties multiplied in index order.
 
+    A (B, K) stack of priors adds a trailing axis: values[j, b] uses
+    priors[b] and equals that prior's own solve bit for bit.
     States are taken in chunks, so the temporary holds at most
     max(_CHUNK_ENTRIES, values.size) entries whatever the number of states.
     """
-    values = np.zeros(tuple(len(t) for t in tables))
+    stack = np.atleast_2d(priors)
+    values = np.zeros(tuple(len(t) for t in tables) + stack.shape[:1])
     step = max(1, _CHUNK_ENTRIES // values.size)
-    for lo in range(0, len(priors), step):
+    for lo in range(0, stack.shape[1], step):
         chunk = slice(lo, lo + step)
-        acc = tables[0][:, chunk] * priors[chunk]
+        acc = tables[0][:, None, chunk] * stack[:, chunk]
         for t in tables[1:]:
-            acc = acc[..., None, :] * t[:, chunk]
+            acc = acc[..., None, :, :] * t[:, None, chunk]
         for k in range(acc.shape[-1]):
             np.maximum(values, acc[..., k], out=values)
-    return values
+    return values.reshape(values.shape[:-1] + priors.shape[:-1])
 
 
 def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> tuple:
@@ -284,9 +313,10 @@ def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> tuple:
     An entry's measured parties are its axes with a nonzero index.  Subsets
     of measured parties are walked by decreasing size, so every entry one
     more measurement leads to is final before it is read.  Only the root
-    depends on the leader: returns its value with each party leading.
+    depends on the leader: returns its value with each party leading, one
+    entry per row of a trailing prior axis (one entry without it).
     """
-    arity = values.ndim
+    arity = len(offsets)
     by_leader = []
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
@@ -303,7 +333,7 @@ def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> tuple:
                 totals[lead + (ms,)] += after[lead + ([offsets[a][mi] + o for mi in ms],)]
             value = totals.max(axis=a, keepdims=True)
             if measured == 0:
-                by_leader.append(value.item())
+                by_leader.append(value.ravel())
             if a in movers:
                 best = value if best is None else np.maximum(best, value)
         values[here] = best

@@ -25,11 +25,14 @@ import numpy as np
 from .catalog import Q3_ANGLES, PriorFamily, biased, load
 from .discrimination import SearchConfig, leader_optima
 
+# Largest bias grid ``curve`` accepts; it solves 10^5 points in seconds.
+MAX_CURVE_STEPS = 100_000
 CSV_HEADER = "p,delta_poly_a,delta_poly_b,delta_poly,delta_qt_a,delta_qt_b,delta_qt"
 
 __all__ = [
     "CSV_HEADER",
     "CurvePoint",
+    "MAX_CURVE_STEPS",
     "curve",
     "curve_csv",
     "grouping",
@@ -118,23 +121,25 @@ class CurvePoint:
 
 
 def curve(p_min: float, p_max: float, steps: int) -> list:
-    """Pentagon-vs-quantum deltas over a bias grid.
+    """Pentagon-vs-quantum deltas over a bias grid of at most MAX_CURVE_STEPS points.
 
-    Per point: the pentagon ensemble deltas from one lattice solve with the
-    leader forced to Alice (a) and the best of Bob/Charlie (b), and the
-    optimal quantum deltas for the same leaders.
+    Per point: the pentagon ensemble deltas with the leader forced to Alice
+    (a) and the best of Bob/Charlie (b), all points read off one batched
+    ``leader_optima`` call, and the optimal quantum deltas for the same
+    leaders.
     """
     if not 0.0 < p_min < p_max < 0.5:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    if steps > MAX_CURVE_STEPS:
+        raise ValueError(f"need at most {MAX_CURVE_STEPS} steps, got {steps}")
     ens = load("s5")
-    cfg = SearchConfig.for_ensemble(ens)
+    grid = np.linspace(p_min, p_max, steps).tolist()
+    ensembles = (replace(ens, priors=biased(p).weights(ens.size)) for p in grid)
     points = []
-    for p in np.linspace(p_min, p_max, steps):
-        p = float(p)
+    for p, optima in zip(grid, leader_optima(ensembles, SearchConfig.for_ensemble(ens))):
         family = biased(p)
-        optima = leader_optima(replace(ens, priors=family.weights(ens.size)), cfg)
         poly_a = 1.0 - optima[0]
         poly_b = min(1.0 - optima[l] for l in (1, 2))
         qt_a = qt_optimize(family, 0)[1]

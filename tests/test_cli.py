@@ -7,13 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nwe
+from nwe import quantum
 from nwe.cli import main
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -376,12 +378,17 @@ def test_out_of_range_arguments_exit_two(capsys, argv):
 
 
 EPS_VALUES = ("-1", "0", "1e-300", "1e-9", "nan")
+BIAS_VALUES = ("nan", "inf", "-inf", "-0.1", "0", "0.1", "0.25", "0.4", "0.5", "0.6")
+STEPS_VALUES = tuple(str(k) for k in (-1, 0, 1, 2, 3, quantum.MAX_CURVE_STEPS + 1, 10**12))
+OUT = "<out.csv>"  # stands for a path in a fresh temporary directory
 
 
 @st.composite
 def cli_arguments(draw):
     eps = ["--eps", draw(st.sampled_from(EPS_VALUES))] if draw(st.booleans()) else []
-    command = draw(st.sampled_from(("info", "signal-polygon", "signal-identity", "verify", "local")))
+    command = draw(
+        st.sampled_from(("info", "signal-polygon", "signal-identity", "verify", "local", "curve", "search"))
+    )
     if command == "info":
         return ["info", "--polygon", str(draw(st.integers(2, 8))), *eps]
     if command == "signal-polygon":
@@ -390,6 +397,11 @@ def cli_arguments(draw):
     if command == "signal-identity":
         k, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
         return ["signal", "--identity", str(k), "--d", str(d), *eps]
+    if command == "curve":
+        pmin, pmax = draw(st.sampled_from(BIAS_VALUES)), draw(st.sampled_from(BIAS_VALUES))
+        return ["curve", pmin, pmax, draw(st.sampled_from(STEPS_VALUES)), OUT]
+    if command == "search":
+        return ["search-measurement", "s5", "--budget", draw(st.sampled_from(("-1", "0", "1"))), *eps]
     ensemble = draw(st.sampled_from(("s4", "s5", "s6", "s7", "q3")))
     if command == "verify":
         return ["verify", ensemble, *eps]
@@ -404,9 +416,17 @@ def cli_arguments(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cli_arguments())
+@example(["curve", "0.1", "0.4", "1000000000000", OUT])
+@example(["search-measurement", "s5", "--budget", "-1"])
 def test_exit_code_contract_holds_without_tracebacks(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, "out.csv") if a == OUT else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("error:") == 1
+    if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1:
+        assert "argument --budget" in err.getvalue()  # refused while parsing, not by the search

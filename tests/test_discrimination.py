@@ -16,6 +16,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from nwe.composition import (
     product_prob,
 )
 from nwe.discrimination import (
+    _CHUNK_ENTRIES,
     MAX_MEASUREMENTS_PER_PARTY,
     Leaf,
     MalformedTreeError,
@@ -432,11 +434,18 @@ def test_largest_accepted_input_is_fast_and_state_count_free_in_memory():
     assert large < 1.25 * small  # four times the states, about the same peak
 
 
-def _assert_leader_optima_match(ens, cfg):
-    optima = leader_optima(ens, cfg)
-    assert len(optima) == ens.arity
-    for a, value in enumerate(optima):
-        assert value == optimal_local(ens, cfg, a).success
+def _assert_leader_optima_match(ensembles, cfg):
+    rows = leader_optima(ensembles, cfg)
+    assert len(rows) == len(ensembles)
+    for ens, row in zip(ensembles, rows):
+        assert row == tuple(optimal_local(ens, cfg, a).success for a in range(ens.arity))
+
+
+def _random_priors(rng, ens, rows):
+    """``rows`` copies of ens with seeded random priors, about a quarter of the weights zero."""
+    w = rng.random((rows, ens.size)) * (rng.random((rows, ens.size)) > 0.25)
+    w[:, 0] += 0.05
+    return [replace(ens, priors=row / row.sum()) for row in w]
 
 
 @pytest.mark.parametrize("cid", ["s4", "s5", "s6", "s7", "q3"])
@@ -447,23 +456,42 @@ def test_leader_optima_equal_forced_leader_solves_on_catalog(cid):
         SearchConfig.for_ensemble(ens, adaptive=False),
         SearchConfig.for_ensemble(ens, indices=[0, 1]),
     ):
-        _assert_leader_optima_match(ens, cfg)
+        _assert_leader_optima_match([ens], cfg)
 
 
 @pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
 def test_leader_optima_equal_forced_leader_solves_on_the_bias_grid(cid):
-    for p in np.linspace(0.01, 0.49, 49):
-        ens = load(cid, biased(float(p)))
-        _assert_leader_optima_match(ens, SearchConfig.for_ensemble(ens))
+    ens = load(cid)
+    grid = [replace(ens, priors=biased(float(p)).weights(ens.size)) for p in np.linspace(0.01, 0.49, 49)]
+    _assert_leader_optima_match(grid, SearchConfig.for_ensemble(ens))  # one call; s7 spans 3 blocks
 
 
 @pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)
 def test_leader_optima_equal_forced_leader_solves_on_random_instances(arity, measurements, states):
     rng = np.random.default_rng(600 + arity)
+    prior_rng = np.random.default_rng(700 + arity)
     for _ in range(20):
         ens, cfg = random_instance(rng, arity, measurements, states)
+        stack = [ens, *_random_priors(prior_rng, ens, 4)]
         for adaptive in (True, False):
-            _assert_leader_optima_match(ens, SearchConfig(cfg.measurements, adaptive))
+            _assert_leader_optima_match(stack, SearchConfig(cfg.measurements, adaptive))
+
+
+def test_leader_optima_spans_several_blocks():
+    ens = load("s5")
+    per_block = _CHUNK_ENTRIES // 11**3  # rows of the 11 x 11 x 11 pentagon lattice per solve
+    stack = _random_priors(np.random.default_rng(9), ens, 2 * per_block + 5)
+    _assert_leader_optima_match(stack, SearchConfig.for_ensemble(ens))
+
+
+def test_leader_optima_rejects_ensembles_with_different_states():
+    ens = load("s5")
+    cfg = SearchConfig.for_ensemble(ens)
+    for other in (load("s5"), replace(ens, states=ens.states[::-1])):
+        for stack in ([ens, other], [ens] * 60 + [other]):  # in the first block and in a later one
+            with pytest.raises(ValueError, match="share one states tuple"):
+                leader_optima(stack, cfg)
+    assert leader_optima([], cfg) == []
 
 
 def test_leader_optima_rejects_what_optimal_local_rejects():
@@ -480,5 +508,5 @@ def test_leader_optima_rejects_what_optimal_local_rejects():
         with pytest.raises(ValueError) as expected:
             optimal_local(ens, cfg)
         with pytest.raises(ValueError) as raised:
-            leader_optima(ens, cfg)
+            leader_optima([ens], cfg)
         assert str(raised.value) == str(expected.value)

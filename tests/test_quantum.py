@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nwe.composition import CompositeSystem, ProductState
 from nwe.discrimination import SearchConfig, optimal_local
 from nwe.quantum import (
     CSV_HEADER,
+    MAX_CURVE_STEPS,
     curve,
     curve_csv,
     grouping,
@@ -212,6 +214,24 @@ def test_curve_rejects_bad_ranges():
         curve(0.1, 0.6, 5)
     with pytest.raises(ValueError):
         curve(0.1, 0.4, 1)
+    for steps in (MAX_CURVE_STEPS + 1, 10**12):  # refused before the grid is allocated
+        with pytest.raises(ValueError, match=f"need at most {MAX_CURVE_STEPS} steps"):
+            curve(0.1, 0.4, steps)
+
+
+def _curve_peak_bytes(steps):
+    tracemalloc.start()
+    try:
+        curve(0.01, 0.49, steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_memory_is_one_lattice_block_whatever_the_steps():
+    curve(0.01, 0.49, 2)  # warm caches outside the measured calls
+    one_block = _curve_peak_bytes(49)  # the 11 x 11 x 11 pentagon lattice takes 49 priors a block
+    assert _curve_peak_bytes(490) < 1.25 * one_block
 
 
 def test_curve_csv_format():
