@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Commands: info, verify, local, curve, signal, search-measurement.
-Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error;
-arguments out of range are rejected while parsing, with exit 2.
+Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error.
+Commands raise and ``main`` alone maps errors to codes: InconclusiveMembership
+prints INCONCLUSIVE on stdout (1); ValueError and SearchSpaceTooLarge print
+one ``error:`` line on stderr (2).  The parser rejects, with exit 2,
+out-of-range values, unknown ensemble ids, --n other than 2, polygons above
+MAX_POLYGON, and signal without exactly one of --polygon and --identity.
 The tolerance of info --polygon, verify, signal --polygon and
 search-measurement can be set with --eps or the NWE_EPS environment
 variable (the flag wins); it must be a finite number in (0, 1).  signal
@@ -21,8 +25,11 @@ import numpy as np
 
 from . import catalog, discrimination, quantum, signaling
 from .composition import check_complete
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, ProbabilityBoundError, make_polygon, zero_one_profile
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, make_polygon, zero_one_profile
 
+# Largest polygon the CLI builds: info's profiles cost O(N^2), and signal's
+# enumeration bound already refuses N above about 447.
+MAX_POLYGON = 1000
 LEADER_NAMES = {"alice": 0, "bob": 1, "charlie": 2, "0": 0, "1": 1, "2": 2}
 
 
@@ -47,7 +54,7 @@ def _checked(convert, want: str, ok=lambda value: True):
 
 _EPS = _checked(float, "a finite tolerance in (0, 1)", lambda x: 0.0 < x < 1.0)
 _POSITIVE = _checked(int, "an integer >= 1", lambda k: k >= 1)
-_POLYGON = _checked(int, "a polygon size >= 3", lambda n: n >= 3)
+_POLYGON = _checked(int, f"a polygon size in [3, {MAX_POLYGON}]", lambda n: 3 <= n <= MAX_POLYGON)
 _BIAS = _checked(lambda t: catalog.biased(float(t)), "a bias p strictly inside (0, 1/2)")
 _LEADER = _checked(lambda t: LEADER_NAMES[t.lower()], "a leader: alice, bob, or charlie")
 _INDICES = _checked(
@@ -72,10 +79,7 @@ def cmd_info(args) -> int:
                 f"  e{i} = ({_fmt(e[0])}, {_fmt(e[1])}, {_fmt(e[2])})"
                 f"  ones={{{ones}}} zeros={{{zeros}}}"
             )
-        pairs = " ".join(
-            f"{{{sysn.effect_label(i)},{sysn.effect_label(j)}}}"
-            for i, j in sysn.extremal_measurements
-        )
+        pairs = " ".join(f"{{{sysn.effect_label(i)},{sysn.effect_label(j)}}}" for i, j in sysn.extremal_measurements)
         print(f"extremal measurements: {pairs}")
         return 0
     if args.id is None:
@@ -85,11 +89,7 @@ def cmd_info(args) -> int:
             kind = ens.composite.parts[0].kind
             print(f"  {cid}: {ens.size} states, {ens.arity} parties ({kind})")
         return 0
-    try:
-        ens = catalog.load(args.id, args.priors)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ens = catalog.load(args.id, args.priors)
     print(f"ensemble {ens.id}: {ens.size} states, {ens.arity} parties")
     for j, (desc, w) in enumerate(zip(catalog.state_labels(ens.id), ens.priors)):
         print(f"  state {j}: {desc}   prior {_fmt(w)}")
@@ -97,12 +97,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        measurement = catalog.load_measurement(args.id)
-        ens = catalog.load(args.id)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    measurement = catalog.load_measurement(args.id)
+    ens = catalog.load(args.id)
     conf = discrimination.confusion_matrix(measurement, ens)
     complete = check_complete(ens.composite, measurement)
     deviation = float(np.max(np.abs(conf - np.eye(ens.size))))
@@ -118,16 +114,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_local(args) -> int:
-    try:
-        ens = catalog.load(args.id, args.priors)
-        cfg = discrimination.SearchConfig.for_ensemble(ens, args.measurements, not args.fixed_order)
-        report = discrimination.optimal_local(ens, cfg, args.leader)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    leader_text = "free" if args.leader is None else str(args.leader)
+    ens = catalog.load(args.id, args.priors)
+    cfg = discrimination.SearchConfig.for_ensemble(ens, args.measurements, not args.fixed_order)
+    report = discrimination.optimal_local(ens, cfg, args.leader)
     print(f"ensemble {ens.id} ({ens.size} states, {ens.arity} parties), priors {args.priors.describe()}")
-    print(f"leader: {leader_text}")
+    print(f"leader: {'free' if args.leader is None else args.leader}")
     print(f"success = {_fmt(report.success)}")
     print(f"delta = {_fmt(report.delta)}")
     print(f"tree: {discrimination.tree_to_text(report.tree)}")
@@ -135,11 +126,7 @@ def cmd_local(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    try:
-        points = quantum.curve(args.pmin, args.pmax, args.steps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    points = quantum.curve(args.pmin, args.pmax, args.steps)
     try:
         quantum.write_curve_csv(points, args.out)
     except OSError as exc:
@@ -152,42 +139,22 @@ def cmd_curve(args) -> int:
 
 
 def _signal_polygon(args) -> int:
-    if args.n not in (None, 2):
-        print("error: only binary extremal decodings are supported (use --n 2)", file=sys.stderr)
-        return 2
     sysn = make_polygon(args.polygon)
-    try:
-        vertices = signaling.classical_vertices(args.m, 2, args.d)
-        channels = signaling.polygon_channels(sysn, args.m, args.eps)
-    except signaling.VertexBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProbabilityBoundError as exc:
-        print(f"error: {exc} (tolerance --eps {_fmt(args.eps)})", file=sys.stderr)
-        return 2
-    print(
-        f"polygon n={args.polygon}: m={args.m} encodings, binary extremal decodings, d={args.d}"
-    )
+    vertices = signaling.classical_vertices(args.m, 2, args.d)
+    channels = signaling.polygon_channels(sysn, args.m, args.eps)
+    print(f"polygon n={args.polygon}: m={args.m} encodings, binary extremal decodings, d={args.d}")
     print(f"distinct channels: {len(channels)} (of {sysn.n ** args.m * len(sysn.extremal_measurements)} generated)")
-    outside = []
-    for ch in channels:
-        try:
-            result = signaling.in_classical_polytope(ch, args.d, vertices)
-        except signaling.InconclusiveMembership as exc:
-            print(f"INCONCLUSIVE: {exc}")
-            return 1
-        if not result.inside:
-            outside.append((ch, result))
+    results = [signaling.in_classical_polytope(ch, args.d, vertices) for ch in channels]
+    outside = [result for result in results if not result.inside]
     if not outside:
         print("ALL-IN")
         return 0
-    ch, result = outside[0]
-    print(f"NOT-IN: {len(outside)} channel(s) outside, first witness margin {_fmt(result.margin)}")
-    _print_witness(ch, result, args.csv)
+    print(f"NOT-IN: {len(outside)} channel(s) outside, first witness margin {_fmt(outside[0].margin)}")
+    _print_witness(outside[0], args.csv)
     return 1
 
 
-def _print_witness(ch, result, as_csv: bool) -> None:
+def _print_witness(result, as_csv: bool) -> None:
     h, c = result.witness
     if as_csv:
         print("witness_h," + ",".join(_fmt(v) for v in h.ravel()))
@@ -201,14 +168,7 @@ def _print_witness(ch, result, as_csv: bool) -> None:
 def _signal_identity(args) -> int:
     k = args.identity
     ch = signaling.Channel(np.eye(k))
-    try:
-        result = signaling.in_classical_polytope(ch, args.d)
-    except signaling.VertexBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except signaling.InconclusiveMembership as exc:
-        print(f"INCONCLUSIVE: {exc}")
-        return 1
+    result = signaling.in_classical_polytope(ch, args.d)
     print(f"identity channel {k}x{k}, d={args.d}")
     if result.inside:
         print("IN")
@@ -216,32 +176,24 @@ def _signal_identity(args) -> int:
             print("weights," + ",".join(_fmt(w) for w in result.weights))
         return 0
     print(f"NOT-IN margin {_fmt(result.margin)}")
-    _print_witness(ch, result, args.csv)
+    _print_witness(result, args.csv)
     return 1
 
 
 def cmd_signal(args) -> int:
-    if (args.polygon is None) == (args.identity is None):
-        print("error: give exactly one of --polygon or --identity", file=sys.stderr)
-        return 2
-    if args.polygon is not None:
-        if args.m is None:
-            print("error: --polygon needs --m", file=sys.stderr)
-            return 2
-        return _signal_polygon(args)
-    if args.n is not None:
-        print("error: --n applies to --polygon only", file=sys.stderr)
-        return 2
-    return _signal_identity(args)
+    # the two rules argparse cannot state; --polygon and --identity exclude each other in the parser
+    if args.identity is not None:
+        if args.n is not None:
+            raise ValueError("--n applies to --polygon only")
+        return _signal_identity(args)
+    if args.m is None:
+        raise ValueError("--polygon needs --m")
+    return _signal_polygon(args)
 
 
 def cmd_search(args) -> int:
-    try:
-        ens = catalog.load(args.id)
-        found = catalog.search_perfect_separable(ens, node_budget=args.budget, eps=args.eps)
-    except (ValueError, KeyError, catalog.SearchSpaceTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ens = catalog.load(args.id)
+    found = catalog.search_perfect_separable(ens, node_budget=args.budget, eps=args.eps)
     if found is None:
         print(f"no perfect separable measurement over extremal factors for {args.id}")
         return 1
@@ -267,19 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("info", help="describe cataloged ensembles or a polygon system")
-    p.add_argument("id", nargs="?", default=None, choices=(None, *catalog.CATALOG_IDS))
+    p.add_argument("id", nargs="?", default=None, choices=catalog.CATALOG_IDS)
     p.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
     p.add_argument("--bias", type=_BIAS, default=catalog.uniform(), dest="priors", metavar="P")
     add_eps(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("verify", help="check a cataloged measurement discriminates its ensemble")
-    p.add_argument("id")
+    p.add_argument("id", choices=catalog.CATALOG_IDS)
     add_eps(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("local", help="optimal adaptive local discrimination")
-    p.add_argument("id")
+    p.add_argument("id", choices=catalog.CATALOG_IDS)
     p.add_argument(
         "--bias", type=_BIAS, default=catalog.uniform(), dest="priors", metavar="P", help="biased priors (default uniform)"
     )
@@ -302,17 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("signal", help="classical d-symbol polytope certification")
-    p.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
+    mode.add_argument("--identity", type=_POSITIVE, default=None, metavar="K", help="check the KxK identity channel")
     p.add_argument("--m", type=_POSITIVE, default=None, help="number of encoding inputs")
-    p.add_argument("--n", type=int, default=None, help="--polygon only: number of outputs (2, the default)")
-    p.add_argument("--identity", type=_POSITIVE, default=None, metavar="K", help="check the KxK identity channel")
+    p.add_argument("--n", type=int, choices=(2,), default=None, help="--polygon only: number of outputs (2, the default)")
     p.add_argument("--d", type=_POSITIVE, required=True, help="classical alphabet size")
     p.add_argument("--csv", action="store_true", help="print certificates as CSV rows")
     add_eps(p)
     p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("search-measurement", help="brute-force a perfect separable measurement")
-    p.add_argument("id")
+    p.add_argument("id", choices=catalog.CATALOG_IDS)
     p.add_argument("--budget", type=_POSITIVE, default=1_000_000, help="search node budget")
     add_eps(p)
     p.set_defaults(func=cmd_search)
@@ -325,7 +278,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except signaling.InconclusiveMembership as exc:
+        print(f"INCONCLUSIVE: {exc}")
+        return 1
+    except (ValueError, catalog.SearchSpaceTooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -43,6 +43,17 @@ __all__ = [
 ]
 
 
+def _split(leader: int) -> tuple:
+    g1, g2 = [], []
+    for i, angles in enumerate(Q3_ANGLES):
+        a = angles[leader]
+        (g1 if math.cos(a) + math.sin(a) > 0.0 else g2).append(i)
+    return tuple(g1), tuple(g2)
+
+
+_GROUPS = tuple(_split(leader) for leader in range(3))
+
+
 def grouping(leader: int) -> tuple:
     """Split state indices by the leader outcome that should claim them.
 
@@ -52,11 +63,7 @@ def grouping(leader: int) -> tuple:
     """
     if not 0 <= leader < 3:
         raise ValueError(f"leader {leader} out of range")
-    g1, g2 = [], []
-    for i, angles in enumerate(Q3_ANGLES):
-        a = angles[leader]
-        (g1 if math.cos(a) + math.sin(a) > 0.0 else g2).append(i)
-    return tuple(g1), tuple(g2)
+    return _GROUPS[leader]
 
 
 def _weights(priors, k: int = 8) -> np.ndarray:

@@ -161,7 +161,7 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
         raise ValueError(f"dimension mismatch: effect {effect.shape} vs state {state.shape}")
     v = float(effect @ state)
     if v < -eps or v > 1.0 + eps:
-        raise ProbabilityBoundError(f"inner product {v!r} outside [0, 1]")
+        raise ProbabilityBoundError(f"inner product {v!r} outside [0, 1] (tolerance eps={eps:.10g})")
     return min(max(v, 0.0), 1.0)
 
 
@@ -177,7 +177,9 @@ def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
     v = (doubled_effects @ doubled_states.T)[: len(effects), : len(states)]
     bad = (v < -eps) | (v > 1.0 + eps)
     if bad.any():
-        raise ProbabilityBoundError(f"inner product {float(v[bad][0])!r} outside [0, 1]")
+        raise ProbabilityBoundError(
+            f"inner product {float(v[bad][0])!r} outside [0, 1] (tolerance eps={eps:.10g})"
+        )
     return np.clip(v, 0.0, 1.0, out=v)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nwe
 from nwe import quantum
-from nwe.cli import main
+from nwe.cli import MAX_POLYGON, main
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,6 +50,14 @@ def test_verify_uncataloged_id_is_usage_error(capsys):
 def test_verify_unknown_id_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["info", "verify", "local", "search-measurement"])
+def test_unknown_id_is_rejected_while_parsing(capsys, command):
+    code, out, err = run(capsys, command, "nope")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert f"nwe {command}: error: argument id: invalid choice: 'nope'" in err
 
 
 def test_local_pentagon_full_and_restricted(capsys):
@@ -214,6 +222,49 @@ def test_signal_n_defaults_to_binary_and_is_polygon_only(capsys):
 def test_signal_needs_exactly_one_mode(capsys):
     code, _, err = run(capsys, "signal", "--d", "2")
     assert code == 2
+    assert "error: one of the arguments --polygon --identity is required" in err
+
+    code, out, err = run(capsys, "signal", "--polygon", "5", "--identity", "3", "--m", "2", "--d", "2")
+    assert (code, out) == (2, "")
+    assert "error: argument --identity: not allowed with argument --polygon" in err
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_signal_n_other_than_two_is_rejected_while_parsing(capsys, n):
+    code, out, err = run(capsys, "signal", "--polygon", "5", "--m", "2", "--n", n, "--d", "2")
+    assert (code, out) == (2, "")
+    assert f"error: argument --n: invalid choice: {n}" in err
+
+
+def test_signal_polygon_needs_m(capsys):
+    code, out, err = run(capsys, "signal", "--polygon", "5", "--d", "2")
+    assert (code, out, err) == (2, "", "error: --polygon needs --m\n")
+
+
+def test_probability_bound_error_states_the_tolerance(capsys):
+    code, out, err = run(capsys, "signal", "--polygon", "5", "--m", "2", "--d", "2", "--eps", "1e-300")
+    assert (code, out) == (2, "")
+    assert err == "error: inner product -5.551115123125783e-17 outside [0, 1] (tolerance eps=1e-300)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--polygon", str(MAX_POLYGON + 1)),
+        ("signal", "--polygon", str(10**9), "--m", "2", "--d", "2"),
+    ],
+    ids=" ".join,
+)
+def test_polygon_above_the_bound_is_rejected_while_parsing(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument --polygon: expected a polygon size in [3, {MAX_POLYGON}]" in err
+
+
+def test_largest_polygon_is_accepted(capsys):
+    code, out, _ = run(capsys, "info", "--polygon", str(MAX_POLYGON))
+    assert code == 0
+    assert out.startswith(f"polygon n={MAX_POLYGON}\n")
 
 
 def test_search_measurement_pentagon(capsys):
@@ -381,28 +432,39 @@ EPS_VALUES = ("-1", "0", "1e-300", "1e-9", "nan")
 BIAS_VALUES = ("nan", "inf", "-inf", "-0.1", "0", "0.1", "0.25", "0.4", "0.5", "0.6")
 STEPS_VALUES = tuple(str(k) for k in (-1, 0, 1, 2, 3, quantum.MAX_CURVE_STEPS + 1, 10**12))
 OUT = "<out.csv>"  # stands for a path in a fresh temporary directory
+IDS = ("s4", "s5", "s6", "s7", "q3", "nope")
+POLYGON_SIZES = st.one_of(st.integers(2, 8), st.sampled_from((MAX_POLYGON - 1, MAX_POLYGON + 1)))
+N_FLAGS = ([], [], [], ["--n", "1"], ["--n", "2"], ["--n", "3"])
 
 
 @st.composite
 def cli_arguments(draw):
     eps = ["--eps", draw(st.sampled_from(EPS_VALUES))] if draw(st.booleans()) else []
     command = draw(
-        st.sampled_from(("info", "signal-polygon", "signal-identity", "verify", "local", "curve", "search"))
+        st.sampled_from(
+            ("info", "signal-polygon", "signal-identity", "signal-modes", "verify", "local", "curve", "search")
+        )
     )
     if command == "info":
-        return ["info", "--polygon", str(draw(st.integers(2, 8))), *eps]
+        target = ["--polygon", str(draw(POLYGON_SIZES))] if draw(st.booleans()) else [draw(st.sampled_from(IDS))]
+        return ["info", *target, *eps]
+    n_flag = draw(st.sampled_from(N_FLAGS))
     if command == "signal-polygon":
-        n, m, d = draw(st.integers(2, 8)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        return ["signal", "--polygon", str(n), "--m", str(m), "--d", str(d), *eps]
+        n, m, d = draw(POLYGON_SIZES), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        m_flag = ["--m", str(m)] if draw(st.integers(0, 3)) else []  # --m is mostly given
+        return ["signal", "--polygon", str(n), *m_flag, "--d", str(d), *n_flag, *eps]
     if command == "signal-identity":
         k, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-        return ["signal", "--identity", str(k), "--d", str(d), *eps]
+        return ["signal", "--identity", str(k), "--d", str(d), *n_flag, *eps]
+    if command == "signal-modes":  # neither or both of --polygon and --identity
+        both = ["--polygon", "5", "--identity", "3"] if draw(st.booleans()) else []
+        return ["signal", *both, "--m", "2", "--d", "2", *n_flag, *eps]
     if command == "curve":
         pmin, pmax = draw(st.sampled_from(BIAS_VALUES)), draw(st.sampled_from(BIAS_VALUES))
         return ["curve", pmin, pmax, draw(st.sampled_from(STEPS_VALUES)), OUT]
+    ensemble = draw(st.sampled_from(IDS))
     if command == "search":
-        return ["search-measurement", "s5", "--budget", draw(st.sampled_from(("-1", "0", "1"))), *eps]
-    ensemble = draw(st.sampled_from(("s4", "s5", "s6", "s7", "q3")))
+        return ["search-measurement", ensemble, "--budget", draw(st.sampled_from(("-1", "0", "1"))), *eps]
     if command == "verify":
         return ["verify", ensemble, *eps]
     extra = []
@@ -418,6 +480,9 @@ def cli_arguments(draw):
 @given(cli_arguments())
 @example(["curve", "0.1", "0.4", "1000000000000", OUT])
 @example(["search-measurement", "s5", "--budget", "-1"])
+@example(["signal", "--polygon", str(10**9), "--m", "2", "--d", "2"])
+@example(["signal", "--polygon", "5", "--d", "2"])
+@example(["local", "nope"])
 def test_exit_code_contract_holds_without_tracebacks(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -428,5 +493,8 @@ def test_exit_code_contract_holds_without_tracebacks(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().count("error:") == 1
-    if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1:
+        assert out.getvalue() == ""
+    if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1 and "nope" not in argv:
         assert "argument --budget" in err.getvalue()  # refused while parsing, not by the search
+    if "--polygon" in argv and int(argv[argv.index("--polygon") + 1]) > MAX_POLYGON:
+        assert "argument --polygon" in err.getvalue()
