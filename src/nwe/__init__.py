@@ -21,7 +21,6 @@ from .composition import (
     SeparableMeasurement,
     check_complete,
     kron,
-    product_prob,
 )
 from .discrimination import (
     DiscriminationReport,
@@ -42,7 +41,6 @@ from .quantum import (
     grouping,
     qt_delta_closed,
     qt_optimize,
-    qt_perr,
     write_curve_csv,
 )
 from .signaling import (
@@ -57,12 +55,10 @@ from .systems import (
     DEFAULT_EPS,
     GptSystem,
     ProbabilityBoundError,
-    ZeroOneProfile,
     find_pair_discriminator,
     make_bloch_circle,
     make_polygon,
     prob,
-    validate_effect,
     zero_one_profile,
 )
 

@@ -51,6 +51,7 @@ __all__ = [
     "default_measurements",
     "load",
     "load_measurement",
+    "require_priors",
     "search_perfect_separable",
     "state_labels",
     "uniform",
@@ -110,6 +111,15 @@ class PriorFamily:
         return f"biased p={self.p!r}"
 
 
+def require_priors(priors, size: int) -> None:
+    """Check one row of priors, or a (B, size) stack of rows: size nonnegative entries summing to 1."""
+    priors = np.asarray(priors, dtype=float)
+    if priors.ndim not in (1, 2) or priors.shape[-1] != size:
+        raise ValueError("one prior per state required")
+    if not (np.all(priors >= 0) and np.all(np.abs(priors.sum(axis=-1) - 1.0) <= COMPLETENESS_TOL)):  # NaN fails
+        raise ValueError("priors must be nonnegative and sum to 1")
+
+
 def uniform() -> PriorFamily:
     return PriorFamily("uniform")
 
@@ -130,10 +140,7 @@ class NamedEnsemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != len(self.priors):
-            raise ValueError("one prior per state required")
-        if np.any(self.priors < 0) or abs(float(self.priors.sum()) - 1.0) > COMPLETENESS_TOL:
-            raise ValueError("priors must be nonnegative and sum to 1")
+        require_priors([self.priors], self.size)  # as a one-row stack, so a stack of rows is refused
 
     @property
     def size(self) -> int:
@@ -187,11 +194,8 @@ def load_measurement(ensemble_id: str) -> SeparableMeasurement:
 
 
 def _party_candidates(part) -> list:
-    """Deduplicated (label, vector) effect candidates: ray extremals then complements."""
-    seen = {}
-    for k in range(2 * part.n):
-        seen.setdefault(tuple(np.round(part.effect(k), 12)), (part.effect_label(k), part.effect(k)))
-    return list(seen.values())
+    """(label, vector) candidates: ray extremals, then complements if n is odd (else each is a ray extremal)."""
+    return [(part.effect_label(k), part.effect(k)) for k in range(part.n if part.n % 2 == 0 else 2 * part.n)]
 
 
 def search_perfect_separable(

@@ -5,8 +5,9 @@ Exit codes: 0 success/PASS, 1 verification failure, 2 usage or config error.
 Commands raise and ``main`` alone maps errors to codes: InconclusiveMembership
 prints INCONCLUSIVE on stdout (1); ValueError and SearchSpaceTooLarge print
 one ``error:`` line on stderr (2).  The parser rejects, with exit 2,
-out-of-range values, unknown ensemble ids, --n other than 2, polygons above
-MAX_POLYGON, and signal without exactly one of --polygon and --identity.
+out-of-range values (polygons above MAX_POLYGON, identities above
+MAX_IDENTITY), unknown ensemble ids, --n other than 2, and signal without
+exactly one of --polygon and --identity.
 The tolerance of info --polygon, verify, signal --polygon and
 search-measurement can be set with --eps or the NWE_EPS environment
 variable (the flag wins); it must be a finite number in (0, 1).  signal
@@ -30,6 +31,8 @@ from .systems import COMPLETENESS_TOL, DEFAULT_EPS, make_polygon, zero_one_profi
 # Largest polygon the CLI builds: info's profiles cost O(N^2), and signal's
 # enumeration bound already refuses N above about 447.
 MAX_POLYGON = 1000
+# Largest identity the CLI builds: --d 1 admits K up to the vertex bound, --d >= 2 only K <= 9.
+MAX_IDENTITY = 100
 LEADER_NAMES = {"alice": 0, "bob": 1, "charlie": 2, "0": 0, "1": 1, "2": 2}
 
 
@@ -55,6 +58,7 @@ def _checked(convert, want: str, ok=lambda value: True):
 _EPS = _checked(float, "a finite tolerance in (0, 1)", lambda x: 0.0 < x < 1.0)
 _POSITIVE = _checked(int, "an integer >= 1", lambda k: k >= 1)
 _POLYGON = _checked(int, f"a polygon size in [3, {MAX_POLYGON}]", lambda n: 3 <= n <= MAX_POLYGON)
+_IDENTITY = _checked(int, f"an identity size in [1, {MAX_IDENTITY}]", lambda k: 1 <= k <= MAX_IDENTITY)
 _BIAS = _checked(lambda t: catalog.biased(float(t)), "a bias p strictly inside (0, 1/2)")
 _LEADER = _checked(lambda t: LEADER_NAMES[t.lower()], "a leader: alice, bob, or charlie")
 _INDICES = _checked(
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signal", help="classical d-symbol polytope certification")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--polygon", type=_POLYGON, default=None, metavar="N")
-    mode.add_argument("--identity", type=_POSITIVE, default=None, metavar="K", help="check the KxK identity channel")
+    mode.add_argument("--identity", type=_IDENTITY, default=None, metavar="K", help="check the KxK identity channel")
     p.add_argument("--m", type=_POSITIVE, default=None, help="number of encoding inputs")
     p.add_argument("--n", type=int, choices=(2,), default=None, help="--polygon only: number of outputs (2, the default)")
     p.add_argument("--d", type=_POSITIVE, required=True, help="classical alphabet size")

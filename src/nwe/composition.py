@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, prob
+from .systems import COMPLETENESS_TOL, GptSystem
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -24,7 +24,6 @@ __all__ = [
     "SeparableMeasurement",
     "check_complete",
     "kron",
-    "product_prob",
 ]
 
 
@@ -119,16 +118,6 @@ class SeparableMeasurement:
 
     def __iter__(self):
         return iter(self.effects)
-
-
-def product_prob(E: ProductEffect, phi: ProductState, eps: float = DEFAULT_EPS) -> float:
-    """Probability of a product effect on a product state: the factorwise product."""
-    if E.arity != phi.arity:
-        raise ValueError(f"arity mismatch: effect {E.arity} vs state {phi.arity}")
-    out = 1.0
-    for e, w in zip(E.factors, phi.factors):
-        out *= prob(e, w, eps)
-    return out
 
 
 def check_complete(

@@ -27,13 +27,13 @@ with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
 is then rebuilt top-down from the finished tensor.  A forced leader changes
 only the root step, so one lattice serves every leader: ``leader_optima``
-reads each party's forced-leader optimum off it.  Ensembles that differ only
-in their priors share the tables, so ``leader_optima`` gives the tensor a
-trailing axis with one row of priors per ensemble; products, sums and maxima
-are elementwise, so every row equals its own solve bit for bit.  The tensor
-has prod_a (1 + J_a) entries per row, and ``leader_optima`` solves
-max(1, _CHUNK_ENTRIES // prod_a (1 + J_a)) rows at a time (49 for the
-pentagon set).  The leaf values are accumulated a chunk of states at a
+reads each party's forced-leader optimum off it.  The tables hold no
+priors, so the tensor has a trailing axis with one row of priors per
+entry: ``optimal_local`` solves the ensemble's own row, ``leader_optima``
+a (B, K) stack of rows.  Products, sums and maxima are elementwise, so
+every row equals its own solve bit for bit.  The tensor has prod_a (1 +
+J_a) entries per row, and ``leader_optima`` solves max(1, _CHUNK_ENTRIES //
+prod_a (1 + J_a)) rows at a time (49 for the pentagon set).  The leaf values are accumulated a chunk of states at a
 time, so memory stays within a small multiple of one block's tensor
 whatever the number of states or priors.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,14 +194,14 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     """
     arity = ens.composite.arity
     tables, offsets = _tables(ens, cfg, leader)
-    values = _leaf_values(np.asarray(ens.priors, dtype=float), tables)
-    _bellman(values, offsets, cfg, leader)
+    values = _leaf_values(np.asarray(ens.priors, dtype=float)[None], tables)[..., 0]
+    by_leader = _bellman(values, offsets, cfg)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
             return Leaf(int(np.argmax(weights)))
         best_value = -1.0
-        for a in _movers(remaining, cfg, leader, len(remaining) == arity):
+        for a in _movers(remaining, cfg, leader if len(remaining) == arity else None):
             along = values[index[:a] + (slice(1, None),) + index[a + 1 :]].tolist()
             for mi, meas in enumerate(cfg.measurements[a]):
                 total = 0.0
@@ -217,31 +217,25 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
 
     root = (0,) * arity
     tree = build(root, tuple(range(arity)), np.asarray(ens.priors, dtype=float))
-    success = float(values[root])
+    success = float(values[root] if leader is None else by_leader[leader][0])
     return DiscriminationReport(success, 1.0 - success, tree, leader)
 
 
-def leader_optima(ensembles, cfg: SearchConfig) -> list:
-    """``optimal_local(ens, cfg, a).success`` for every party a, one tuple per ensemble.
+def leader_optima(ens, cfg: SearchConfig, priors) -> list:
+    """``optimal_local(ens, cfg, a).success`` for every party a, one tuple per row of priors.
 
-    The ensembles (any iterable) must share one states tuple, so only their
-    priors differ: the config is validated and the likelihood tables are
-    built once, and each block of ensembles is one lattice solve with a
-    trailing prior axis.  Only one block of ensembles is held at a time.
+    ``priors`` is a (B, ens.size) stack of prior rows (one row may be given
+    flat) that replace the ensemble's own.  The config is validated and the
+    likelihood tables are built once, and each block of rows is one lattice
+    solve with a trailing prior axis.
     """
-    ensembles = iter(ensembles)
-    first = next(ensembles, None)
-    if first is None:
-        return []
-    tables, offsets = _tables(first, cfg, None)
+    tables, offsets = _tables(ens, cfg, None)
+    catalog.require_priors(priors, ens.size)
+    priors = np.asarray(priors, dtype=float).reshape(-1, ens.size)
     per_block = max(1, _CHUNK_ENTRIES // math.prod(len(t) for t in tables))
-    ensembles = chain([first], ensembles)
     rows = []
-    while block := list(islice(ensembles, per_block)):
-        if any(ens.states != first.states for ens in block):
-            raise ValueError("leader_optima needs ensembles that share one states tuple")
-        priors = np.array([ens.priors for ens in block], dtype=float)
-        by_leader = _bellman(_leaf_values(priors, tables), offsets, cfg, None)
+    for lo in range(0, len(priors), per_block):
+        by_leader = _bellman(_leaf_values(priors[lo : lo + per_block], tables), offsets, cfg)
         rows.extend(zip(*(v.tolist() for v in by_leader)))
     return rows
 
@@ -274,9 +268,9 @@ def _tables(ens, cfg: SearchConfig, leader):
     return tables, offsets
 
 
-def _movers(remaining, cfg: SearchConfig, leader, at_root: bool):
-    """Parties that may measure next: a forced leader at the root, else per cfg.adaptive."""
-    if at_root and leader is not None:
+def _movers(remaining, cfg: SearchConfig, leader=None):
+    """Parties that may measure next: a forced leader if given, else per cfg.adaptive."""
+    if leader is not None:
         return (leader,)
     return remaining if cfg.adaptive else remaining[:1]
 
@@ -287,41 +281,39 @@ def _factors(ens, party: int) -> np.ndarray:
 
 
 def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
-    """values[j] = max_k priors[k] * prod_a tables[a][j_a, k], parties multiplied in index order.
+    """values[j, b] = max_k priors[b, k] * prod_a tables[a][j_a, k], parties multiplied in index order.
 
-    A (B, K) stack of priors adds a trailing axis: values[j, b] uses
-    priors[b] and equals that prior's own solve bit for bit.
-    States are taken in chunks, so the temporary holds at most
+    One row of the (B, K) stack of priors per trailing entry.  States are
+    taken in chunks, so the temporary holds at most
     max(_CHUNK_ENTRIES, values.size) entries whatever the number of states.
     """
-    stack = np.atleast_2d(priors)
-    values = np.zeros(tuple(len(t) for t in tables) + stack.shape[:1])
+    values = np.zeros(tuple(len(t) for t in tables) + priors.shape[:1])
     step = max(1, _CHUNK_ENTRIES // values.size)
-    for lo in range(0, stack.shape[1], step):
+    for lo in range(0, priors.shape[1], step):
         chunk = slice(lo, lo + step)
-        acc = tables[0][:, None, chunk] * stack[:, chunk]
+        acc = tables[0][:, None, chunk] * priors[:, chunk]
         for t in tables[1:]:
             acc = acc[..., None, :, :] * t[:, None, chunk]
         for k in range(acc.shape[-1]):
             np.maximum(values, acc[..., k], out=values)
-    return values.reshape(values.shape[:-1] + priors.shape[:-1])
+    return values
 
 
-def _bellman(values: np.ndarray, offsets, cfg: SearchConfig, leader) -> tuple:
+def _bellman(values: np.ndarray, offsets, cfg: SearchConfig) -> tuple:
     """Overwrite every entry that leaves a party unmeasured with its optimal value.
 
-    An entry's measured parties are its axes with a nonzero index.  Subsets
-    of measured parties are walked by decreasing size, so every entry one
-    more measurement leads to is final before it is read.  Only the root
-    depends on the leader: returns its value with each party leading, one
-    entry per row of a trailing prior axis (one entry without it).
+    An entry's measured parties are its party axes with a nonzero index; a
+    trailing axis, if any, has one entry per row of priors.  Subsets of
+    measured parties are walked by decreasing size, so every entry one more
+    measurement leads to is final before it is read.  The root takes the
+    best over cfg's movers; returns its values with each party leading.
     """
     arity = len(offsets)
     by_leader = []
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
         here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
-        movers = _movers(rest, cfg, leader, measured == 0)
+        movers = _movers(rest, cfg)
         best = None
         for a in rest if measured == 0 else movers:
             after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]

@@ -18,7 +18,7 @@ the discrimination engine over a grid of bias values.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "grouping",
     "qt_delta_closed",
     "qt_optimize",
-    "qt_perr",
     "write_curve_csv",
 ]
 
@@ -66,22 +65,13 @@ def grouping(leader: int) -> tuple:
     return _GROUPS[leader]
 
 
-def _weights(priors, k: int = 8) -> np.ndarray:
-    if isinstance(priors, PriorFamily):
-        return priors.weights(k)
-    w = np.asarray(priors, dtype=float)
-    if w.shape != (k,):
-        raise ValueError(f"expected {k} priors, got shape {w.shape}")
-    return w
-
-
-def _coefficients(priors, leader: int) -> tuple:
-    """(A, B, C) with qt_perr(theta) = C - (A cos theta + B sin theta) / 2.
+def _coefficients(priors: PriorFamily, leader: int) -> tuple:
+    """(A, B, C) with the leader's total error C - (A cos theta + B sin theta) / 2.
 
     A state of weight w at leader angle a adds w (1 -/+ cos(theta - a)) / 2 in
     the first/second group; expanding the cosine gives the signed sums below.
     """
-    w = _weights(priors)
+    w = priors.weights(8)
     g1, _ = grouping(leader)
     a_coef = b_coef = 0.0
     for i, angles in enumerate(Q3_ANGLES):
@@ -91,13 +81,7 @@ def _coefficients(priors, leader: int) -> tuple:
     return a_coef, b_coef, 0.5 * float(w.sum())
 
 
-def qt_perr(theta: float, priors, leader: int) -> float:
-    """Total misclassification probability of the leader's theta measurement."""
-    a_coef, b_coef, c = _coefficients(priors, leader)
-    return c - 0.5 * (a_coef * math.cos(theta) + b_coef * math.sin(theta))
-
-
-def qt_optimize(priors, leader: int) -> tuple:
+def qt_optimize(priors: PriorFamily, leader: int) -> tuple:
     """(theta*, delta): the optimal leader angle in [0, pi/2] and its error, in closed form."""
     a_coef, b_coef, c = _coefficients(priors, leader)
     return math.atan2(b_coef, a_coef), c - 0.5 * math.hypot(a_coef, b_coef)
@@ -105,8 +89,7 @@ def qt_optimize(priors, leader: int) -> tuple:
 
 def qt_delta_closed(p: float, protocol: str) -> float:
     """Closed-form optimal error under bias p: protocol 'a' (Alice leads) or 'b' (Bob/Charlie)."""
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"bias p must lie strictly inside (0, 1/2), got {p}")
+    biased(p)  # checks the bias domain
     if protocol == "a":
         return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * p + 8.0 * p * p))
     if protocol == "b":
@@ -142,31 +125,20 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
     if steps > MAX_CURVE_STEPS:
         raise ValueError(f"need at most {MAX_CURVE_STEPS} steps, got {steps}")
     ens = load("s5")
-    grid = np.linspace(p_min, p_max, steps).tolist()
-    ensembles = (replace(ens, priors=biased(p).weights(ens.size)) for p in grid)
+    families = [biased(p) for p in np.linspace(p_min, p_max, steps).tolist()]
+    priors = np.array([family.weights(ens.size) for family in families])
     points = []
-    for p, optima in zip(grid, leader_optima(ensembles, SearchConfig.for_ensemble(ens))):
-        family = biased(p)
-        poly_a = 1.0 - optima[0]
-        poly_b = min(1.0 - optima[l] for l in (1, 2))
-        qt_a = qt_optimize(family, 0)[1]
-        qt_b = min(qt_optimize(family, l)[1] for l in (1, 2))
-        points.append(
-            CurvePoint(p, poly_a, poly_b, min(poly_a, poly_b), qt_a, qt_b, min(qt_a, qt_b))
-        )
+    for family, optima in zip(families, leader_optima(ens, SearchConfig.for_ensemble(ens), priors)):
+        poly = (1.0 - optima[0], min(1.0 - optima[l] for l in (1, 2)))
+        qt = (qt_optimize(family, 0)[1], min(qt_optimize(family, l)[1] for l in (1, 2)))
+        points.append(CurvePoint(family.p, *poly, min(poly), *qt, min(qt)))
     return points
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def curve_csv(points) -> str:
     """CSV rendering: '.' decimal separator, LF line endings, 10 significant digits."""
-    lines = [CSV_HEADER]
-    for pt in points:
-        lines.append(",".join(_fmt(v) for v in astuple(pt)))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(format(float(v), ".10g") for v in astuple(pt)) for pt in points)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def write_curve_csv(points, path) -> None:

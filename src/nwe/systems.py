@@ -47,7 +47,6 @@ __all__ = [
     "make_polygon",
     "prob",
     "require_complete",
-    "validate_effect",
     "zero_one_profile",
 ]
 
@@ -187,20 +186,6 @@ def require_complete(effects, unit: np.ndarray, what: str) -> None:
     """Raise ValueError unless the effects sum to the unit within DEFAULT_EPS."""
     if np.max(np.abs(np.sum(effects, axis=0) - unit)) > DEFAULT_EPS:
         raise ValueError(f"incomplete {what}: effects do not sum to the unit")
-
-
-def validate_effect(sys: GptSystem, e: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
-    """True iff e yields values in [0, 1] (within eps) on every state of sys."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (sys.dim,):
-        raise ValueError(f"effect has shape {e.shape}, expected ({sys.dim},)")
-    if sys.kind == "bloch_circle":
-        # value over states is e[2] + |(e[0], e[1])| * cos(phase), so the
-        # extremes are e[2] -/+ the planar radius
-        radius = math.hypot(e[0], e[1])
-        return (e[2] - radius >= -eps) and (e[2] + radius <= 1.0 + eps)
-    vals = sys.pure_states @ e
-    return bool(vals.min() >= -eps and vals.max() <= 1.0 + eps)
 
 
 def find_pair_discriminator(

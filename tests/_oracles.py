@@ -5,9 +5,10 @@ the recursion solves every subproblem once per party order that reaches it,
 the brute-force enumerator walks all adaptive two-party trees explicitly,
 the simulator draws physical measurement outcomes one sample at a time, and
 golden-section search minimizes the qubit theta-protocol error numerically,
-independent of its closed form.  Polygon channels are built with one
-``gpt_channel`` call per (encoding, measurement) and deduplicated afterwards,
-classical vertices one deterministic strategy at a time, and the
+independent of its closed form (``qt_perr`` sums that error state by
+state).  Polygon channels are built with one ``gpt_channel`` call per
+(encoding, measurement) and deduplicated afterwards, classical vertices
+one deterministic strategy at a time, and the
 measurement search filters its candidates with scalar ``prob`` and
 ``product_prob`` calls.  Apart from ``gpt_channel``, which reads one small
 table per channel, likelihoods come from scalar ``prob`` calls, not from
@@ -21,11 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 import nwe
-from nwe.catalog import SearchSpaceTooLarge, _party_candidates
-from nwe.composition import ProductEffect, SeparableMeasurement, kron, product_prob
+from nwe.catalog import Q3_ANGLES, SearchSpaceTooLarge, _party_candidates
+from nwe.composition import ProductEffect, SeparableMeasurement, kron
 from nwe.discrimination import DiscriminationReport, Leaf
+from nwe.quantum import grouping
 from nwe.signaling import Channel, gpt_channel
 from nwe.systems import DEFAULT_EPS, prob
+
+
+def product_prob(E, phi, eps=DEFAULT_EPS) -> float:
+    """Probability of a product effect on a product state: the factorwise product."""
+    if E.arity != phi.arity:
+        raise ValueError(f"arity mismatch: effect {E.arity} vs state {phi.arity}")
+    out = 1.0
+    for e, w in zip(E.factors, phi.factors):
+        out *= prob(e, w, eps)
+    return out
 
 
 def likelihood_tables(ens, cfg):
@@ -148,6 +160,21 @@ def simulate_tree(tree, ens, n_samples, rng):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def qt_perr(theta: float, priors, leader: int) -> float:
+    """Total misclassification probability of the q3 leader's theta measurement.
+
+    A state at leader angle a is missed with probability (1 - cos(theta - a)) / 2
+    in the leader's first group and (1 + cos(theta - a)) / 2 in the second.
+    """
+    w = priors.weights(8)
+    g1, _ = grouping(leader)
+    total = 0.0
+    for i, angles in enumerate(Q3_ANGLES):
+        sign = -1.0 if i in g1 else 1.0
+        total += w[i] * 0.5 * (1.0 + sign * math.cos(theta - angles[leader]))
+    return total
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> tuple:

@@ -11,9 +11,11 @@ import nwe
 from nwe.catalog import (
     Q3_ANGLES,
     SearchSpaceTooLarge,
+    _party_candidates,
     biased,
     load,
     load_measurement,
+    require_priors,
     search_perfect_separable,
     uniform,
 )
@@ -49,6 +51,50 @@ def test_invalid_bias_rejected(p):
 def test_biased_needs_eight_states():
     with pytest.raises(ValueError):
         biased(0.1).weights(4)
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [
+        (np.full(7, 1.0 / 7.0), "one prior per state required"),
+        (np.full((1, 8), 0.125), "one prior per state required"),  # a stack is not one row
+        (np.array([0.5, -0.125] + [0.625 / 6.0] * 6), "priors must be nonnegative and sum to 1"),
+        (np.full(8, 0.25), "priors must be nonnegative and sum to 1"),
+        (np.full(8, np.nan), "priors must be nonnegative and sum to 1"),
+    ],
+    ids=["width", "stack", "negative", "off-sum", "nan"],
+)
+def test_ensemble_priors_follow_the_prior_rule(priors, message):
+    ens = load("s5")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nwe.NamedEnsemble("bad", ens.composite, ens.states, priors)
+
+
+def test_prior_rule_takes_one_row_or_a_stack():
+    row = biased(0.2).weights(8)
+    require_priors(row, 8)
+    require_priors(np.array([row, uniform().weights(8)]), 8)
+    require_priors(np.empty((0, 8)), 8)
+    require_priors(row + 1e-14, 8)  # within COMPLETENESS_TOL of summing to 1
+    for bad in (np.float64(1.0), row[None, None], np.array([row, row[::-1] * 2.0])):
+        with pytest.raises(ValueError):
+            require_priors(bad, 8)
+
+
+def _deduplicated_candidates(part):
+    """The candidate list as the rounded-vector deduplication of all 2n effects built it."""
+    seen = {}
+    for k in range(2 * part.n):
+        seen.setdefault(tuple(np.round(part.effect(k), 12)), (part.effect_label(k), part.effect(k)))
+    return list(seen.values())
+
+
+def test_party_candidates_equal_the_deduplicated_effect_list():
+    for n in range(3, 41):
+        part = make_polygon(n)
+        got, want = _party_candidates(part), _deduplicated_candidates(part)
+        assert [label for label, _ in got] == [label for label, _ in want], n
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want)), n
 
 
 def test_s4_states_match_catalog_table():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nwe
 from nwe import quantum
-from nwe.cli import MAX_POLYGON, main
+from nwe.cli import MAX_IDENTITY, MAX_POLYGON, build_parser, main
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -261,6 +261,18 @@ def test_polygon_above_the_bound_is_rejected_while_parsing(capsys, argv):
     assert f"error: argument --polygon: expected a polygon size in [3, {MAX_POLYGON}]" in err
 
 
+@pytest.mark.parametrize("k", [str(MAX_IDENTITY + 1), "100000"])
+def test_identity_above_the_bound_is_rejected_while_parsing(capsys, k):
+    code, out, err = run(capsys, "signal", "--identity", k, "--d", "1")
+    assert (code, out) == (2, "")
+    assert f"error: argument --identity: expected an identity size in [1, {MAX_IDENTITY}]" in err
+
+
+def test_largest_identity_is_accepted_while_parsing():
+    args = build_parser().parse_args(["signal", "--identity", str(MAX_IDENTITY), "--d", "1"])
+    assert args.identity == MAX_IDENTITY
+
+
 def test_largest_polygon_is_accepted(capsys):
     code, out, _ = run(capsys, "info", "--polygon", str(MAX_POLYGON))
     assert code == 0
@@ -454,7 +466,7 @@ def cli_arguments(draw):
         m_flag = ["--m", str(m)] if draw(st.integers(0, 3)) else []  # --m is mostly given
         return ["signal", "--polygon", str(n), *m_flag, "--d", str(d), *n_flag, *eps]
     if command == "signal-identity":
-        k, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        k, d = draw(st.one_of(st.integers(0, 4), st.just(MAX_IDENTITY + 1))), draw(st.integers(0, 3))
         return ["signal", "--identity", str(k), "--d", str(d), *n_flag, *eps]
     if command == "signal-modes":  # neither or both of --polygon and --identity
         both = ["--polygon", "5", "--identity", "3"] if draw(st.booleans()) else []
@@ -498,3 +510,5 @@ def test_exit_code_contract_holds_without_tracebacks(argv):
         assert "argument --budget" in err.getvalue()  # refused while parsing, not by the search
     if "--polygon" in argv and int(argv[argv.index("--polygon") + 1]) > MAX_POLYGON:
         assert "argument --polygon" in err.getvalue()
+    if "--identity" in argv and int(argv[argv.index("--identity") + 1]) > MAX_IDENTITY:
+        assert "argument --identity" in err.getvalue()

@@ -12,9 +12,10 @@ from nwe.composition import (
     SeparableMeasurement,
     check_complete,
     kron,
-    product_prob,
 )
 from nwe.systems import make_polygon
+
+from _oracles import product_prob
 
 
 def test_kron_of_units_matches_numpy():

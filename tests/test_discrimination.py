@@ -28,7 +28,6 @@ from nwe.composition import (
     ProductEffect,
     ProductState,
     SeparableMeasurement,
-    product_prob,
 )
 from nwe.discrimination import (
     _CHUNK_ENTRIES,
@@ -48,6 +47,7 @@ from nwe.systems import make_polygon
 from _oracles import (
     brute_force_optimal,
     likelihood_tables,
+    product_prob,
     random_instance,
     recursive_optimal_local,
     simulate_tree,
@@ -434,18 +434,19 @@ def test_largest_accepted_input_is_fast_and_state_count_free_in_memory():
     assert large < 1.25 * small  # four times the states, about the same peak
 
 
-def _assert_leader_optima_match(ensembles, cfg):
-    rows = leader_optima(ensembles, cfg)
-    assert len(rows) == len(ensembles)
-    for ens, row in zip(ensembles, rows):
-        assert row == tuple(optimal_local(ens, cfg, a).success for a in range(ens.arity))
+def _assert_leader_optima_match(ens, cfg, priors):
+    rows = leader_optima(ens, cfg, priors)
+    assert len(rows) == len(priors)
+    for w, row in zip(priors, rows):
+        solo = replace(ens, priors=w)
+        assert row == tuple(optimal_local(solo, cfg, a).success for a in range(ens.arity))
 
 
 def _random_priors(rng, ens, rows):
-    """``rows`` copies of ens with seeded random priors, about a quarter of the weights zero."""
+    """``rows`` seeded random prior rows for ens, about a quarter of the weights zero."""
     w = rng.random((rows, ens.size)) * (rng.random((rows, ens.size)) > 0.25)
     w[:, 0] += 0.05
-    return [replace(ens, priors=row / row.sum()) for row in w]
+    return w / w.sum(axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("cid", ["s4", "s5", "s6", "s7", "q3"])
@@ -456,14 +457,14 @@ def test_leader_optima_equal_forced_leader_solves_on_catalog(cid):
         SearchConfig.for_ensemble(ens, adaptive=False),
         SearchConfig.for_ensemble(ens, indices=[0, 1]),
     ):
-        _assert_leader_optima_match([ens], cfg)
+        _assert_leader_optima_match(ens, cfg, ens.priors[None])
 
 
 @pytest.mark.parametrize("cid", ["s5", "s6", "s7"])
 def test_leader_optima_equal_forced_leader_solves_on_the_bias_grid(cid):
     ens = load(cid)
-    grid = [replace(ens, priors=biased(float(p)).weights(ens.size)) for p in np.linspace(0.01, 0.49, 49)]
-    _assert_leader_optima_match(grid, SearchConfig.for_ensemble(ens))  # one call; s7 spans 3 blocks
+    grid = np.array([biased(float(p)).weights(ens.size) for p in np.linspace(0.01, 0.49, 49)])
+    _assert_leader_optima_match(ens, SearchConfig.for_ensemble(ens), grid)  # one call; s7 spans 3 blocks
 
 
 @pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)
@@ -472,26 +473,48 @@ def test_leader_optima_equal_forced_leader_solves_on_random_instances(arity, mea
     prior_rng = np.random.default_rng(700 + arity)
     for _ in range(20):
         ens, cfg = random_instance(rng, arity, measurements, states)
-        stack = [ens, *_random_priors(prior_rng, ens, 4)]
+        stack = np.vstack([ens.priors, _random_priors(prior_rng, ens, 4)])
         for adaptive in (True, False):
-            _assert_leader_optima_match(stack, SearchConfig(cfg.measurements, adaptive))
+            _assert_leader_optima_match(ens, SearchConfig(cfg.measurements, adaptive), stack)
 
 
 def test_leader_optima_spans_several_blocks():
     ens = load("s5")
     per_block = _CHUNK_ENTRIES // 11**3  # rows of the 11 x 11 x 11 pentagon lattice per solve
     stack = _random_priors(np.random.default_rng(9), ens, 2 * per_block + 5)
-    _assert_leader_optima_match(stack, SearchConfig.for_ensemble(ens))
+    _assert_leader_optima_match(ens, SearchConfig.for_ensemble(ens), stack)
 
 
-def test_leader_optima_rejects_ensembles_with_different_states():
+def test_leader_optima_solves_separately_loaded_ensembles_in_one_batch():
+    first, second = load("s5"), load("s5", biased(0.2))  # equal states, distinct objects
+    cfg = SearchConfig.for_ensemble(first)
+    rows = leader_optima(first, cfg, np.array([first.priors, second.priors]))
+    assert rows == [tuple(optimal_local(e, cfg, a).success for a in range(3)) for e in (first, second)]
+    assert leader_optima(second, cfg, first.priors) == rows[:1]  # one row may be given flat
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [
+        (np.full((2, 7), 1.0 / 7.0), "one prior per state required"),
+        (np.full((1, 2, 8), 0.125), "one prior per state required"),
+        (np.array([[0.5, -0.125] + [0.625 / 6.0] * 6]), "priors must be nonnegative and sum to 1"),
+        (np.array([[0.125] * 8, [0.25] * 8]), "priors must be nonnegative and sum to 1"),
+        (np.array([[0.125] * 8, [np.nan] * 8]), "priors must be nonnegative and sum to 1"),
+    ],
+    ids=["width", "three-axes", "negative", "off-sum", "nan"],
+)
+def test_leader_optima_refuses_bad_prior_rows(priors, message):
     ens = load("s5")
-    cfg = SearchConfig.for_ensemble(ens)
-    for other in (load("s5"), replace(ens, states=ens.states[::-1])):
-        for stack in ([ens, other], [ens] * 60 + [other]):  # in the first block and in a later one
-            with pytest.raises(ValueError, match="share one states tuple"):
-                leader_optima(stack, cfg)
-    assert leader_optima([], cfg) == []
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        leader_optima(ens, SearchConfig.for_ensemble(ens), priors)
+
+
+def test_leader_optima_of_no_rows_still_checks_the_config():
+    ens = load("s5")
+    assert leader_optima(ens, SearchConfig.for_ensemble(ens), np.empty((0, 8))) == []
+    with pytest.raises(ValueError, match="one measurement list per party required"):
+        leader_optima(ens, SearchConfig((tuple(ens.composite.parts[0].measurements()),) * 2), np.empty((0, 8)))
 
 
 def test_leader_optima_rejects_what_optimal_local_rejects():
@@ -508,5 +531,5 @@ def test_leader_optima_rejects_what_optimal_local_rejects():
         with pytest.raises(ValueError) as expected:
             optimal_local(ens, cfg)
         with pytest.raises(ValueError) as raised:
-            leader_optima([ens], cfg)
+            leader_optima(ens, cfg, ens.priors[None])
         assert str(raised.value) == str(expected.value)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nwe
-from _oracles import golden_section_min
+from _oracles import golden_section_min, qt_perr
 from nwe.catalog import Q3_ANGLES, biased, load, uniform
 from nwe.composition import CompositeSystem, ProductState
 from nwe.discrimination import SearchConfig, optimal_local
@@ -20,7 +20,6 @@ from nwe.quantum import (
     grouping,
     qt_delta_closed,
     qt_optimize,
-    qt_perr,
 )
 from nwe.systems import make_bloch_circle
 

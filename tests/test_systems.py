@@ -16,7 +16,6 @@ from nwe.systems import (
     make_bloch_circle,
     make_polygon,
     prob,
-    validate_effect,
     zero_one_profile,
 )
 
@@ -221,19 +220,6 @@ def test_likelihoods_snap_boundary_and_raise_outside():
         likelihoods([poly.effect(1), 2.0 * poly.effect(0)], states)
     with pytest.raises(ValueError):
         likelihoods([np.ones(2)], states)
-
-
-def test_validate_effect():
-    penta = make_polygon(5)
-    sq = make_polygon(4)
-    assert validate_effect(penta, penta.unit_effect)
-    assert not validate_effect(penta, 2.0 * penta.effect(0))
-    assert validate_effect(sq, sq.effect(0))
-    circ = make_bloch_circle()
-    assert validate_effect(circ, circ.effect_at(1.2))
-    assert not validate_effect(circ, 1.5 * circ.effect_at(1.2))
-    with pytest.raises(ValueError):
-        validate_effect(penta, np.ones(4))
 
 
 def test_squit_every_pair_admits_discriminator():
