@@ -4,10 +4,11 @@ Transmitting an elementary system once induces the channel
 rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
 reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
-encode/decode compositions (input -> one of d symbols -> output).  Linear
-feasibility over that vertex list decides membership: convex weights
-certify it, a separating hyperplane is the witness against it.  These are
-finite (m, n, d) certifications only; no claim spans all alphabet sizes.
+encode/decode compositions (input -> one of d symbols -> output).  One
+nonnegative least-squares solve over that vertex list looks for convex
+weights that certify membership; only when it finds none does a separation
+LP look for the witness against it.  These are finite (m, n, d)
+certifications only; no claim spans all alphabet sizes.
 """
 
 from __future__ import annotations
@@ -54,18 +55,11 @@ class Channel:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("channel needs a nonempty 2-D row matrix")
-        if rows.min() < -COMPLETENESS_TOL:
+        # written so that NaN fails: every comparison with NaN is False
+        if not np.all(rows >= -COMPLETENESS_TOL):
             raise ValueError("channel rows must be nonnegative")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > COMPLETENESS_TOL:
+        if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= COMPLETENESS_TOL):
             raise ValueError("channel rows must each sum to 1")
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
 
 
 def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -> Channel:
@@ -126,46 +120,51 @@ class MembershipResult:
     margin: float
 
 
-def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
-    """Decide whether ch is a convex combination of the d-symbol vertices.
+def _convex_certificate(V, x, weights):
+    """An inside result if weights are convex coefficients recomposing x within MEMBERSHIP_TOL, else None."""
+    err = max(float(np.max(np.abs(V.T @ weights - x))), abs(float(weights.sum()) - 1.0), -float(weights.min()))
+    return MembershipResult(True, weights, None, err) if err <= MEMBERSHIP_TOL else None
 
-    Feasible weights within MEMBERSHIP_TOL certify membership; otherwise a
-    separating hyperplane with margin above WITNESS_MARGIN certifies
-    exclusion.  Raises InconclusiveMembership when neither margin is met.
+
+def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
+    """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty list of ch's shape).
+
+    Convex weights within MEMBERSHIP_TOL, from one NNLS solve or else from the
+    separation LP's duals, certify membership; a separating hyperplane with
+    margin above WITNESS_MARGIN certifies exclusion.  Raises
+    InconclusiveMembership when neither margin is met.
     """
     # scipy.optimize takes most of the package's import time; only here is it needed
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog, nnls
 
     if vertices is None:
-        vertices = classical_vertices(ch.m, ch.n, d)
+        vertices = classical_vertices(*ch.rows.shape, d)
+    if (shapes := {v.rows.shape for v in vertices}) != {ch.rows.shape}:
+        raise ValueError(f"vertex shapes {sorted(shapes)} do not match the channel's shape {ch.rows.shape}")
     V = np.array([v.rows.ravel() for v in vertices])  # (K, m*n)
     x = ch.rows.ravel()
     K = len(vertices)
-
-    A_eq = np.vstack([V.T, np.ones((1, K))])
-    b_eq = np.concatenate([x, [1.0]])
-    res = linprog(np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * K, method="highs")
-    if res.status == 0:
-        weights = np.asarray(res.x)
-        err = float(np.max(np.abs(V.T @ weights - x)))
-        err = max(err, abs(float(weights.sum()) - 1.0))
-        if err <= MEMBERSHIP_TOL:
-            return MembershipResult(True, weights, None, err)
+    try:  # nonnegative least squares on [V^T; 1^T] w = [x; 1] (Lawson & Hanson, ch. 23)
+        weights = nnls(np.vstack([V.T, np.ones(K)]), np.append(x, 1.0))[0]
+    except RuntimeError:  # its iteration limit; the separation duals below still certify
+        weights = None
+    if weights is not None and (inside := _convex_certificate(V, x, weights)):
+        return inside
 
     # Separation: maximize h.x - c subject to h.v_k <= c and |h| <= 1.
     mn = x.size
     objective = np.concatenate([-x, [1.0]])
     A_ub = np.hstack([V, -np.ones((K, 1))])
-    b_ub = np.zeros(K)
     bounds = [(-1.0, 1.0)] * mn + [(-(mn + 1.0), mn + 1.0)]
-    sep = linprog(objective, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    sep = linprog(objective, A_ub=A_ub, b_ub=np.zeros(K), bounds=bounds, method="highs")
     if sep.status != 0:
         raise InconclusiveMembership(f"separation solve failed with status {sep.status}")
     margin = -float(sep.fun)
     if margin > WITNESS_MARGIN:
         h = np.asarray(sep.x[:mn]).reshape(ch.rows.shape)
-        c = float(sep.x[mn])
-        return MembershipResult(False, None, (h, c), margin)
-    raise InconclusiveMembership(
-        f"feasibility margin {margin:.3e} below {WITNESS_MARGIN}; result not guessed"
-    )
+        return MembershipResult(False, None, (h, float(sep.x[mn])), margin)
+    # at margin 0 the duals of h.v_k <= c are convex weights of ch
+    inside = _convex_certificate(V, x, -np.asarray(sep.ineqlin.marginals))
+    if inside is None:
+        raise InconclusiveMembership(f"feasibility margin {margin:.3e} below {WITNESS_MARGIN}; result not guessed")
+    return inside

@@ -8,7 +8,8 @@ golden-section search minimizes the qubit theta-protocol error numerically,
 independent of its closed form (``qt_perr`` sums that error state by
 state).  Polygon channels are built with one ``gpt_channel`` call per
 (encoding, measurement) and deduplicated afterwards, classical vertices
-one deterministic strategy at a time, and the
+one deterministic strategy at a time, polytope membership with a
+feasibility LP before the separation LP, and the
 measurement search filters its candidates with scalar ``prob`` and
 ``product_prob`` calls.  Apart from ``gpt_channel``, which reads one small
 table per channel, likelihoods come from scalar ``prob`` calls, not from
@@ -26,7 +27,14 @@ from nwe.catalog import Q3_ANGLES, SearchSpaceTooLarge, _party_candidates
 from nwe.composition import ProductEffect, SeparableMeasurement, kron
 from nwe.discrimination import DiscriminationReport, Leaf
 from nwe.quantum import grouping
-from nwe.signaling import Channel, gpt_channel
+from nwe.signaling import (
+    MEMBERSHIP_TOL,
+    WITNESS_MARGIN,
+    Channel,
+    InconclusiveMembership,
+    MembershipResult,
+    gpt_channel,
+)
 from nwe.systems import DEFAULT_EPS, prob
 
 
@@ -222,6 +230,39 @@ def per_channel_polygon_channels(sysn, m, eps=DEFAULT_EPS):
                 seen.add(key)
                 channels.append(ch)
     return channels
+
+
+def two_lp_in_classical_polytope(ch, vertices):
+    """Membership by a feasibility LP for convex weights, then a separation LP for the witness.
+
+    The separation LP is the library's own, so outside results must match it
+    bit for bit; inside decisions rest on HiGHS feasibility instead of NNLS.
+    """
+    from scipy.optimize import linprog
+
+    V = np.array([v.rows.ravel() for v in vertices])
+    x = ch.rows.ravel()
+    K = len(vertices)
+    A_eq = np.vstack([V.T, np.ones((1, K))])
+    b_eq = np.concatenate([x, [1.0]])
+    res = linprog(np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * K, method="highs")
+    if res.status == 0:
+        weights = np.asarray(res.x)
+        err = max(float(np.max(np.abs(V.T @ weights - x))), abs(float(weights.sum()) - 1.0))
+        if err <= MEMBERSHIP_TOL:
+            return MembershipResult(True, weights, None, err)
+    mn = x.size
+    objective = np.concatenate([-x, [1.0]])
+    A_ub = np.hstack([V, -np.ones((K, 1))])
+    bounds = [(-1.0, 1.0)] * mn + [(-(mn + 1.0), mn + 1.0)]
+    sep = linprog(objective, A_ub=A_ub, b_ub=np.zeros(K), bounds=bounds, method="highs")
+    if sep.status != 0:
+        raise InconclusiveMembership(f"separation solve failed with status {sep.status}")
+    margin = -float(sep.fun)
+    if margin > WITNESS_MARGIN:
+        h = np.asarray(sep.x[:mn]).reshape(ch.rows.shape)
+        return MembershipResult(False, None, (h, float(sep.x[mn])), margin)
+    raise InconclusiveMembership(f"feasibility margin {margin:.3e} below {WITNESS_MARGIN}")
 
 
 def scalar_search_perfect_separable(ens, node_budget=1_000_000, eps=DEFAULT_EPS):

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import nwe
 from nwe import quantum
 from nwe.cli import MAX_IDENTITY, MAX_POLYGON, build_parser, main
+from nwe.signaling import MEMBERSHIP_TOL, classical_vertices
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -167,6 +169,21 @@ def test_signal_identity_csv_weights(capsys):
     code, out, _ = run(capsys, "signal", "--identity", "2", "--d", "2", "--csv")
     assert code == 0
     assert "weights," in out
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 3), (3, 4), (4, 4)])
+def test_signal_identity_csv_weights_are_a_certificate(capsys, k, d):
+    # the printed weights may differ from an LP's in sub-ulp entries; they must still certify
+    code, out, _ = run(capsys, "signal", "--identity", str(k), "--d", str(d), "--csv")
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("weights,")]
+    weights = np.array([float(v) for v in line.split(",")[1:]])
+    vertices = classical_vertices(k, k, d)
+    assert len(weights) == len(vertices)
+    assert weights.min() >= 0.0
+    assert abs(weights.sum() - 1.0) <= MEMBERSHIP_TOL
+    recomposed = sum(w * v.rows for w, v in zip(weights, vertices))
+    assert np.max(np.abs(recomposed - np.eye(k))) <= MEMBERSHIP_TOL
 
 
 def test_only_signal_loads_scipy():

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from nwe.signaling import (
+    MEMBERSHIP_TOL,
     VERTEX_ENUMERATION_BOUND,
     Channel,
     VertexBoundError,
@@ -17,7 +19,7 @@ from nwe.signaling import (
 )
 from nwe.systems import ProbabilityBoundError, make_polygon, prob
 
-from _oracles import DeterministicStrategy, per_channel_polygon_channels
+from _oracles import DeterministicStrategy, per_channel_polygon_channels, two_lp_in_classical_polytope
 
 
 def test_channel_validation():
@@ -26,6 +28,22 @@ def test_channel_validation():
         Channel(np.array([[0.5, 0.4], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         Channel(np.array([[-0.1, 1.1], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([np.nan, 1.0], "nonnegative"),
+        ([np.nan, np.nan], "nonnegative"),
+        ([np.inf, 1.0], "sum to 1"),
+        ([-np.inf, 1.0], "nonnegative"),
+        ([np.inf, -np.inf], "nonnegative"),
+    ],
+)
+def test_channel_rejects_non_finite_rows(row, message):
+    # NaN compares False both ways, so a rule written as "fail if below" let it through
+    with pytest.raises(ValueError, match=f"channel rows must (be|each) {message}"):
+        Channel(np.array([row, [0.5, 0.5]]))
 
 
 def test_deterministic_strategy_channel():
@@ -209,3 +227,95 @@ def test_polygon_channels_live_in_the_two_symbol_polytope(n):
                     continue
                 seen.add(key)
                 assert in_classical_polytope(ch, 2, verts).inside
+
+
+def _assert_certificate(result, ch, vertices):
+    V = np.array([v.rows.ravel() for v in vertices])
+    x = ch.rows.ravel()
+    if result.inside:
+        w = result.weights
+        assert w.min() >= 0.0
+        assert abs(w.sum() - 1.0) <= MEMBERSHIP_TOL
+        assert np.max(np.abs(V.T @ w - x)) <= MEMBERSHIP_TOL
+    else:
+        h, c = result.witness
+        assert float(h.ravel() @ x) - c == pytest.approx(result.margin, abs=1e-9)
+        assert float(np.max(V @ h.ravel())) <= c + 1e-9
+
+
+@pytest.mark.parametrize(
+    "vertices, shapes",
+    [
+        (classical_vertices(2, 3, 2), r"\[\(2, 3\)\]"),  # same size, transposed shape
+        (classical_vertices(2, 2, 2), r"\[\(2, 2\)\]"),
+        ([], r"\[\]"),
+    ],
+    ids=["transposed", "smaller", "empty"],
+)
+def test_vertices_must_be_a_nonempty_list_of_the_channel_shape(vertices, shapes):
+    ch = Channel(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match=f"vertex shapes {shapes} do not match the channel's shape \\(3, 2\\)"):
+        in_classical_polytope(ch, 2, vertices)
+
+
+def _grid_channels(rng, vertices, m, n):
+    """Every vertex, points on faces spanned by 2-3 vertices, and random stochastic rows."""
+    channels = list(vertices)
+    for _ in range(4):
+        idx = rng.choice(len(vertices), size=min(int(rng.integers(2, 4)), len(vertices)), replace=False)
+        weights = rng.dirichlet(np.ones(len(idx)))
+        channels.append(Channel(sum(w * vertices[i].rows for w, i in zip(weights, idx))))
+    channels += [Channel(rng.dirichlet(np.ones(n), size=m)) for _ in range(6)]
+    return channels
+
+
+def _certify_channels():
+    """The perfbench certify cases: (channel, d, vertices) for every distinct polygon channel and identity."""
+    for n, m, d in [(7, 4, 3), (5, 3, 1), (6, 3, 2), (5, 3, 3), *((n, 2, 2) for n in range(5, 10))]:
+        vertices = classical_vertices(m, 2, d)
+        yield from ((ch, d, vertices) for ch in polygon_channels(make_polygon(n), m))
+    for k, d in [(2, 1), (3, 1), (3, 2), (2, 2), (3, 3)]:
+        yield Channel(np.eye(k)), d, classical_vertices(k, k, d)
+
+
+def _grid_cases():
+    rng = np.random.default_rng(12)
+    for m, n, d in [(2, 2, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (4, 2, 3), (3, 3, 3)]:
+        vertices = classical_vertices(m, n, d)
+        yield from ((ch, d, vertices) for ch in _grid_channels(rng, vertices, m, n))
+
+
+@pytest.mark.parametrize("cases", [_grid_cases, _certify_channels], ids=["grid", "certify"])
+def test_membership_agrees_with_the_two_lp_reference(cases):
+    outside = 0
+    for ch, d, vertices in cases():
+        got = in_classical_polytope(ch, d, vertices)
+        want = two_lp_in_classical_polytope(ch, vertices)
+        assert got.inside == want.inside
+        _assert_certificate(got, ch, vertices)
+        if not got.inside:  # the same separation LP: the witness is bit for bit the reference's
+            outside += 1
+            assert got.margin == want.margin
+            assert got.witness[1] == want.witness[1]
+            assert got.witness[0].tobytes() == want.witness[0].tobytes()
+    assert outside > 0
+
+
+def _failing_nnls(A, b):
+    return np.zeros(A.shape[1]), float(np.linalg.norm(b))
+
+
+def _nnls_at_its_iteration_limit(A, b):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+@pytest.mark.parametrize("nnls", [_failing_nnls, _nnls_at_its_iteration_limit], ids=["zero weights", "raises"])
+def test_separation_duals_certify_when_nnls_fails(monkeypatch, nnls):
+    cases = list(_certify_channels())
+    expected = [in_classical_polytope(ch, d, vertices).inside for ch, d, vertices in cases]
+    assert sum(expected) > 300
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    for (ch, d, vertices), inside in zip(cases, expected):
+        result = in_classical_polytope(ch, d, vertices)
+        assert result.inside == inside
+        _assert_certificate(result, ch, vertices)
