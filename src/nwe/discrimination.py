@@ -25,17 +25,23 @@ j_{n-1}) starts as the leaf values max_k prior_k * prod_a table_a[j_a, k],
 multiplied in party order.  Walking subsets by decreasing size, each entry
 with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
-is then rebuilt top-down from the finished tensor.  A forced leader changes
-only the root step, so one lattice serves every leader: ``leader_optima``
-reads each party's forced-leader optimum off it.  The tables hold no
-priors, so the tensor has a trailing axis with one row of priors per
-entry: ``optimal_local`` solves the ensemble's own row, ``leader_optima``
-a (B, K) stack of rows.  Products, sums and maxima are elementwise, so
-every row equals its own solve bit for bit.  The tensor has prod_a (1 +
-J_a) entries per row, and ``leader_optima`` solves max(1, _CHUNK_ENTRIES //
-prod_a (1 + J_a)) rows at a time (49 for the pentagon set).  The leaf values are accumulated a chunk of states at a
-time, so memory stays within a small multiple of one block's tensor
-whatever the number of states or priors.
+is then rebuilt top-down from the finished tensor.  The sums go through
+each party's outcome slots, worked out once per solve: for each outcome
+position o, the measurements that have an o-th outcome and those outcomes'
+table rows, as basic slices when evenly spaced (always, when every
+measurement has the same number of outcomes).  The same slots sum each
+party's concatenated effects, so validation makes one completeness check
+per party.  A forced leader changes only the root step, so one lattice
+serves every leader: ``leader_optima`` reads each party's forced-leader
+optimum off it.  The tables hold no priors, so the tensor has a trailing
+axis with one row of priors per entry: ``optimal_local`` solves the
+ensemble's own row, ``leader_optima`` a (B, K) stack of rows.  Products,
+sums and maxima are elementwise, so every row equals its own solve bit for
+bit.  The tensor has prod_a (1 + J_a) entries per row, and
+``leader_optima`` solves max(1, _CHUNK_ENTRIES // prod_a (1 + J_a)) rows
+at a time (49 for the pentagon set).  The leaf values are accumulated a
+chunk of states at a time, so memory stays within a small multiple of one
+block's tensor whatever the number of states or priors.
 
 Weights are never renormalized, which keeps zero-probability branches
 harmless: an all-zero weight vector becomes a leaf guessing state 0.  Ties
@@ -193,9 +199,9 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    tables, offsets = _tables(ens, cfg, leader)
+    tables, offsets, slots = _tables(ens, cfg, leader)
     values = _leaf_values(np.asarray(ens.priors, dtype=float)[None], tables)[..., 0]
-    by_leader = _bellman(values, offsets, cfg)
+    by_leader = _bellman(values, slots, cfg)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
@@ -229,24 +235,26 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
     likelihood tables are built once, and each block of rows is one lattice
     solve with a trailing prior axis.
     """
-    tables, offsets = _tables(ens, cfg, None)
+    tables, _, slots = _tables(ens, cfg, None)
     catalog.require_priors(priors, ens.size)
     priors = np.asarray(priors, dtype=float).reshape(-1, ens.size)
     per_block = max(1, _CHUNK_ENTRIES // math.prod(len(t) for t in tables))
     rows = []
     for lo in range(0, len(priors), per_block):
-        by_leader = _bellman(_leaf_values(priors[lo : lo + per_block], tables), offsets, cfg)
+        by_leader = _bellman(_leaf_values(priors[lo : lo + per_block], tables), slots, cfg)
         rows.extend(zip(*(v.tolist() for v in by_leader)))
     return rows
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's likelihood table: (tables, offsets)."""
+    """Validate, then build each party's likelihood table: (tables, offsets, slots)."""
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
     if len(cfg.measurements) != arity:
         raise ValueError("one measurement list per party required")
+    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
+    offsets, slots, effects = [], [], []
     for p, per in enumerate(cfg.measurements):
         if not per:
             raise ValueError(f"party {p} has no allowed measurements")
@@ -254,18 +262,54 @@ def _tables(ens, cfg: SearchConfig, leader):
             raise ValueError(
                 f"party {p} has {len(per)} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}"
             )
-        for m in per:
-            require_complete(m, ens.composite.parts[p].unit_effect, f"measurement at party {p}")
+        unit, what = ens.composite.parts[p].unit_effect, f"measurement at party {p}"
+        counts = [len(m) for m in per]
+        if 0 in counts:  # no outcomes, so no row of the sums below; its sum is zero
+            require_complete(per[counts.index(0)], unit, what)
+        offsets.append(list(accumulate(counts[:-1], initial=0)))
+        slots.append(_outcome_slots(counts, offsets[-1]))
+        effects.append(np.concatenate(per))
+        # one stacked outcome whose rows are each measurement's effects added in outcome order
+        require_complete(_outcome_sums(effects[-1], slots[-1])[None], unit, what)
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
     tables = [
-        np.vstack([np.ones(ens.size), likelihoods(np.concatenate(per), _factors(ens, p))])
-        for p, per in enumerate(cfg.measurements)
+        np.vstack([np.ones(ens.size), likelihoods(e, _factors(ens, p))]) for p, e in enumerate(effects)
     ]
-    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
-    offsets = [list(accumulate((len(m) for m in per[:-1]), initial=0)) for per in cfg.measurements]
-    return tables, offsets
+    return tables, offsets, slots
+
+
+def _outcome_slots(counts, offsets) -> list:
+    """(measurements, rows) per outcome position o: the measurements with an o-th outcome
+    and those outcomes' rows among the party's concatenated effects.
+
+    Each is a basic slice when its indices are evenly spaced, which they are
+    whenever every measurement has the same number of outcomes.
+    """
+    slots = []
+    for o in range(max(counts)):
+        ms = [mi for mi, n in enumerate(counts) if n > o]
+        slots.append((_as_slice(ms), _as_slice([offsets[mi] + o for mi in ms])))
+    return slots
+
+
+def _as_slice(ix: list):
+    """The slice selecting exactly ``ix`` if its entries are evenly spaced, else ``ix``."""
+    step = ix[1] - ix[0] if len(ix) > 1 else 1  # ix is increasing
+    if ix == list(range(ix[0], ix[-1] + 1, step)):
+        return slice(ix[0], ix[-1] + 1, step)
+    return ix
+
+
+def _outcome_sums(x: np.ndarray, slots, axis: int = 0) -> np.ndarray:
+    """Per measurement, x summed along ``axis`` over its outcomes' rows, added in outcome order."""
+    lead = (slice(None),) * axis  # so the next index applies to ``axis``
+    (_, rows), *later = slots
+    totals = x[lead + (rows,)].copy()
+    for ms, rows in later:
+        totals[lead + (ms,)] += x[lead + (rows,)]
+    return totals
 
 
 def _movers(remaining, cfg: SearchConfig, leader=None):
@@ -299,7 +343,7 @@ def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
     return values
 
 
-def _bellman(values: np.ndarray, offsets, cfg: SearchConfig) -> tuple:
+def _bellman(values: np.ndarray, slots, cfg: SearchConfig) -> tuple:
     """Overwrite every entry that leaves a party unmeasured with its optimal value.
 
     An entry's measured parties are its party axes with a nonzero index; a
@@ -308,7 +352,7 @@ def _bellman(values: np.ndarray, offsets, cfg: SearchConfig) -> tuple:
     measurement leads to is final before it is read.  The root takes the
     best over cfg's movers; returns its values with each party leading.
     """
-    arity = len(offsets)
+    arity = len(slots)
     by_leader = []
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
@@ -317,13 +361,7 @@ def _bellman(values: np.ndarray, offsets, cfg: SearchConfig) -> tuple:
         best = None
         for a in rest if measured == 0 else movers:
             after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
-            lead = (slice(None),) * a  # so the next index applies to axis a
-            counts = [len(m) for m in cfg.measurements[a]]
-            totals = after[lead + (offsets[a],)]
-            for o in range(1, max(counts)):
-                ms = [mi for mi, n in enumerate(counts) if n > o]
-                totals[lead + (ms,)] += after[lead + ([offsets[a][mi] + o for mi in ms],)]
-            value = totals.max(axis=a, keepdims=True)
+            value = _outcome_sums(after, slots[a], a).max(axis=a, keepdims=True)
             if measured == 0:
                 by_leader.append(value.ravel())
             if a in movers:

@@ -53,6 +53,19 @@ def _split(leader: int) -> tuple:
 _GROUPS = tuple(_split(leader) for leader in range(3))
 
 
+def _signed_trig(leader: int) -> tuple:
+    """Each state's (cos a, sin a) at its leader angle a, negated in the leader's second group."""
+    g1, _ = _GROUPS[leader]
+    terms = []
+    for i, angles in enumerate(Q3_ANGLES):
+        sign = 1.0 if i in g1 else -1.0
+        terms.append((sign * math.cos(angles[leader]), sign * math.sin(angles[leader])))
+    return tuple(terms)
+
+
+_SIGNED_TRIG = tuple(_signed_trig(leader) for leader in range(3))
+
+
 def grouping(leader: int) -> tuple:
     """Split state indices by the leader outcome that should claim them.
 
@@ -71,13 +84,12 @@ def _coefficients(priors: PriorFamily, leader: int) -> tuple:
     A state of weight w at leader angle a adds w (1 -/+ cos(theta - a)) / 2 in
     the first/second group; expanding the cosine gives the signed sums below.
     """
+    grouping(leader)  # checks the leader range
     w = priors.weights(8)
-    g1, _ = grouping(leader)
     a_coef = b_coef = 0.0
-    for i, angles in enumerate(Q3_ANGLES):
-        signed = float(w[i] if i in g1 else -w[i])
-        a_coef += signed * math.cos(angles[leader])
-        b_coef += signed * math.sin(angles[leader])
+    for wi, (cos_a, sin_a) in zip(w.tolist(), _SIGNED_TRIG[leader]):
+        a_coef += wi * cos_a
+        b_coef += wi * sin_a
     return a_coef, b_coef, 0.5 * float(w.sum())
 
 

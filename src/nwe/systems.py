@@ -159,7 +159,7 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
     if effect.shape != state.shape:
         raise ValueError(f"dimension mismatch: effect {effect.shape} vs state {state.shape}")
     v = float(effect @ state)
-    if v < -eps or v > 1.0 + eps:
+    if not -eps <= v <= 1.0 + eps:  # NaN fails
         raise ProbabilityBoundError(f"inner product {v!r} outside [0, 1] (tolerance eps={eps:.10g})")
     return min(max(v, 0.0), 1.0)
 
@@ -174,17 +174,17 @@ def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
     # differently from the 1-D dot in ``prob``; doubled rows keep it on gemm, which agrees
     doubled_effects, doubled_states = (np.concatenate([a, a]) for a in (effects, states))
     v = (doubled_effects @ doubled_states.T)[: len(effects), : len(states)]
-    bad = (v < -eps) | (v > 1.0 + eps)
-    if bad.any():
+    ok = (v >= -eps) & (v <= 1.0 + eps)  # NaN fails
+    if not ok.all():
         raise ProbabilityBoundError(
-            f"inner product {float(v[bad][0])!r} outside [0, 1] (tolerance eps={eps:.10g})"
+            f"inner product {float(v[~ok][0])!r} outside [0, 1] (tolerance eps={eps:.10g})"
         )
     return np.clip(v, 0.0, 1.0, out=v)
 
 
 def require_complete(effects, unit: np.ndarray, what: str) -> None:
     """Raise ValueError unless the effects sum to the unit within DEFAULT_EPS."""
-    if np.max(np.abs(np.sum(effects, axis=0) - unit)) > DEFAULT_EPS:
+    if not np.abs(np.sum(effects, axis=0) - unit).max() <= DEFAULT_EPS:  # NaN fails
         raise ValueError(f"incomplete {what}: effects do not sum to the unit")
 
 

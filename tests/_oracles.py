@@ -13,7 +13,10 @@ feasibility LP before the separation LP, and the
 measurement search filters its candidates with scalar ``prob`` and
 ``product_prob`` calls.  Apart from ``gpt_channel``, which reads one small
 table per channel, likelihoods come from scalar ``prob`` calls, not from
-``systems.likelihoods``.
+``systems.likelihoods``.  The one exception to the first sentence is
+``gather_bellman``: the lattice's Bellman pass as it was written with
+fancy-index gathers, the reference for the order in which the optimizer
+adds a measurement's outcomes.
 """
 
 import itertools
@@ -25,7 +28,7 @@ import numpy as np
 import nwe
 from nwe.catalog import Q3_ANGLES, SearchSpaceTooLarge, _party_candidates
 from nwe.composition import ProductEffect, SeparableMeasurement, kron
-from nwe.discrimination import DiscriminationReport, Leaf
+from nwe.discrimination import DiscriminationReport, Leaf, _movers
 from nwe.quantum import grouping
 from nwe.signaling import (
     MEMBERSHIP_TOL,
@@ -143,6 +146,66 @@ def random_instance(rng, arity=2, max_measurements=2, max_states=6):
         take = sorted(rng.choice(total, size=min(max_measurements, total), replace=False).tolist())
         per_party.append(tuple(part.measurement(int(m)) for m in take))
     return ens, nwe.SearchConfig(tuple(per_party))
+
+
+def mixed_outcome_instance(rng, arity=2, max_measurements=2, max_states=6):
+    """``random_instance`` with each measurement refined to 1, 2, 3 or 4 outcomes.
+
+    A binary measurement {a, b} becomes {u}, {a, b}, {t a, (1 - t) a, b} or
+    {t a, (1 - t) a, s b, (1 - s) b}; about a third of the parties give every
+    measurement the same number of outcomes.
+    """
+    ens, cfg = random_instance(rng, arity, max_measurements, max_states)
+    per_party = []
+    for part, binary in zip(ens.composite.parts, cfg.measurements):
+        counts = rng.integers(1, 5, size=len(binary))
+        if rng.random() < 0.3:
+            counts[:] = counts[0]
+        per = []
+        for (a, b), count in zip(binary, counts.tolist()):
+            t, s = rng.uniform(0.2, 0.8, size=2)
+            per.append(
+                {
+                    1: [part.unit_effect],
+                    2: [a, b],
+                    3: [t * a, (1.0 - t) * a, b],
+                    4: [t * a, (1.0 - t) * a, s * b, (1.0 - s) * b],
+                }[count]
+            )
+        per_party.append(tuple(np.array(m) for m in per))
+    return ens, nwe.SearchConfig(tuple(per_party))
+
+
+def gather_bellman(values, offsets, cfg):
+    """The lattice's Bellman pass with one fancy-index gather and scatter per outcome position.
+
+    The reference for the summation order of ``discrimination._bellman``:
+    every measurement's outcomes are added in outcome order.
+    ``offsets[a][mi]`` is the position of measurement mi's first outcome
+    among party a's table rows 1..J.
+    """
+    arity = len(offsets)
+    by_leader = []
+    for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
+        rest = tuple(a for a in range(arity) if not measured >> a & 1)
+        here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
+        movers = _movers(rest, cfg)
+        best = None
+        for a in rest if measured == 0 else movers:
+            after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
+            lead = (slice(None),) * a  # so the next index applies to axis a
+            counts = [len(m) for m in cfg.measurements[a]]
+            totals = after[lead + (offsets[a],)]
+            for o in range(1, max(counts)):
+                ms = [mi for mi, n in enumerate(counts) if n > o]
+                totals[lead + (ms,)] += after[lead + ([offsets[a][mi] + o for mi in ms],)]
+            value = totals.max(axis=a, keepdims=True)
+            if measured == 0:
+                by_leader.append(value.ravel())
+            if a in movers:
+                best = value if best is None else np.maximum(best, value)
+        values[here] = best
+    return tuple(by_leader)
 
 
 def simulate_tree(tree, ens, n_samples, rng):

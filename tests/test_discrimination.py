@@ -13,6 +13,7 @@ extremal measurements available, asymmetric openings do strictly better.
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import nwe
+from nwe import discrimination
 from nwe.catalog import biased, load, load_measurement
 from nwe.composition import (
     CompositeSystem,
@@ -32,6 +34,9 @@ from nwe.composition import (
 from nwe.discrimination import (
     _CHUNK_ENTRIES,
     MAX_MEASUREMENTS_PER_PARTY,
+    _bellman,
+    _leaf_values,
+    _tables,
     Leaf,
     MalformedTreeError,
     SearchConfig,
@@ -46,7 +51,9 @@ from nwe.systems import make_polygon
 
 from _oracles import (
     brute_force_optimal,
+    gather_bellman,
     likelihood_tables,
+    mixed_outcome_instance,
     product_prob,
     random_instance,
     recursive_optimal_local,
@@ -397,6 +404,68 @@ def test_lattice_handles_measurements_with_different_outcome_counts():
             oracle = recursive_optimal_local(ens, cfg, leader)
             assert report.success == pytest.approx(oracle.success, abs=1e-12)
             assert eval_tree(report.tree, ens) == pytest.approx(report.success, abs=1e-12)
+
+
+@pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)
+def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, states, monkeypatch):
+    # bit for bit, not within a tolerance: adding 3 or 4 outcomes in another
+    # order moves the last bits of most tensors
+    rng = np.random.default_rng(900 + arity)
+    prior_rng = np.random.default_rng(1000 + arity)
+    for i in range(15):
+        ens, cfg = mixed_outcome_instance(rng, arity, measurements, states)
+        for adaptive in (True, False):
+            variant = SearchConfig(cfg.measurements, adaptive)
+            tables, offsets, slots = _tables(ens, variant, None)
+            one = _leaf_values(ens.priors[None], tables)
+            for values in (one[..., 0], one, _leaf_values(_random_priors(prior_rng, ens, 5), tables)):
+                ours, reference = values.copy(), values.copy()
+                by_leader = _bellman(ours, slots, variant)
+                expected = gather_bellman(reference, offsets, variant)
+                assert np.array_equal(ours, reference)
+                assert all(np.array_equal(x, y) for x, y in zip(by_leader, expected, strict=True))
+            leaders = (None, i % arity)
+            reports = [optimal_local(ens, variant, leader) for leader in leaders]
+            with monkeypatch.context() as patch:
+                patch.setattr(discrimination, "_bellman", lambda v, _, c: gather_bellman(v, offsets, c))
+                for leader, report in zip(leaders, reports):
+                    gathered = optimal_local(ens, variant, leader)
+                    assert report.success == gathered.success
+                    assert tree_to_text(report.tree) == tree_to_text(gathered.tree)
+
+
+def _validation_cases():
+    """(id, per-party measurement lists, leader, expected message), in the order they are checked."""
+    penta = load("s5").composite.parts[0]
+    ms = tuple(penta.measurements())
+    over = ms * 4  # 20, above the per-party bound
+    incomplete = ms + (np.array([penta.effect(0), penta.effect(1)]),)
+    nan_effect = ms + (np.array([[np.nan, 0.0, 0.5], [0.0, 0.0, 0.5]]),)
+    no_outcomes = ms + (np.zeros((0, 3)),)
+    over_bound = f"party 0 has {{}} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}".format
+    incomplete_at = "incomplete measurement at party {}: effects do not sum to the unit".format
+    return [
+        ("empty-before-over-bound", ((), over, ms), None, "party 0 has no allowed measurements"),
+        ("over-bound-before-empty", (over, (), ms), None, over_bound(20)),
+        ("over-bound-before-incomplete", (over + incomplete, ms, ms), None, over_bound(26)),
+        ("incomplete-before-over-bound", (ms, incomplete, over), None, incomplete_at(1)),
+        ("nan-effect", (ms, ms, nan_effect), None, incomplete_at(2)),
+        ("no-outcomes", (no_outcomes, ms, ms), None, incomplete_at(0)),
+        ("incomplete-before-leader", (ms, ms, incomplete), 3, incomplete_at(2)),
+        ("leader", (ms, ms, ms), 3, "leader 3 out of range"),
+    ]
+
+
+@pytest.mark.parametrize("case", _validation_cases(), ids=lambda case: case[0])
+def test_config_errors_and_their_precedence(case):
+    _, per_party, leader, message = case
+    ens = load("s5")
+    cfg = SearchConfig(per_party)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optimal_local(ens, cfg, leader)
+    if leader is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            leader_optima(ens, cfg, ens.priors)
 
 
 def _largest_accepted_instance(k, seed=17):

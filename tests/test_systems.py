@@ -179,6 +179,9 @@ def test_prob_snaps_boundary_and_raises_outside():
     assert prob(-1e-10 * u, poly.pure_state(0)) == 0.0
     with pytest.raises(ProbabilityBoundError):
         prob(2.0 * poly.effect(0), poly.pure_state(0))
+    # NaN compares False both ways, so a rule written as "fail if outside" let it through
+    with pytest.raises(ProbabilityBoundError, match="^inner product nan outside"):
+        prob(np.array([np.nan, 0.0, 0.5]), poly.pure_state(0))
     with pytest.raises(ValueError):
         prob(np.ones(2), poly.pure_state(0))
 
@@ -218,6 +221,10 @@ def test_likelihoods_snap_boundary_and_raise_outside():
     assert likelihoods([(1.0 + 1e-10) * u, -1e-10 * u], states).tolist() == [[1.0], [0.0]]
     with pytest.raises(ProbabilityBoundError):
         likelihoods([poly.effect(1), 2.0 * poly.effect(0)], states)
+    with pytest.raises(ProbabilityBoundError, match="^inner product nan outside"):
+        likelihoods([poly.effect(1), [np.nan, 0.0, 0.5]], states)
+    with pytest.raises(ProbabilityBoundError, match="^inner product nan outside"):
+        likelihoods([poly.effect(1)], [poly.pure_state(0), [0.0, np.nan, 1.0]])
     with pytest.raises(ValueError):
         likelihoods([np.ones(2)], states)
 
