@@ -90,13 +90,16 @@ CATALOG_IDS = tuple(_STATE_TABLES)
 
 @dataclass(frozen=True)
 class PriorFamily:
-    """Uniform priors, or the biased family with weight p on states 3 and 4 (1-indexed)."""
+    """Uniform priors (p None), or the biased family with weight p on states 3 and 4 (1-indexed)."""
 
-    kind: str = "uniform"
     p: float | None = None
 
+    def __post_init__(self):
+        if self.p is not None and not 0.0 < self.p < 0.5:  # NaN fails
+            raise ValueError(f"bias p must lie strictly inside (0, 1/2), got {self.p}")
+
     def weights(self, k: int) -> np.ndarray:
-        if self.kind == "uniform":
+        if self.p is None:
             return np.full(k, 1.0 / k)
         if k != 8:
             raise ValueError("biased priors are defined for 8-state ensembles")
@@ -106,9 +109,7 @@ class PriorFamily:
         return w
 
     def describe(self) -> str:
-        if self.kind == "uniform":
-            return "uniform"
-        return f"biased p={self.p!r}"
+        return "uniform" if self.p is None else f"biased p={self.p!r}"
 
 
 def require_priors(priors, size: int) -> None:
@@ -121,13 +122,11 @@ def require_priors(priors, size: int) -> None:
 
 
 def uniform() -> PriorFamily:
-    return PriorFamily("uniform")
+    return PriorFamily()
 
 
 def biased(p: float) -> PriorFamily:
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"bias p must lie strictly inside (0, 1/2), got {p}")
-    return PriorFamily("biased", float(p))
+    return PriorFamily(float(p))
 
 
 @dataclass(frozen=True, eq=False)

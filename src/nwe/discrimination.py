@@ -375,7 +375,7 @@ def _global_perfect_verified(ens) -> bool:
     try:
         catalog.load_measurement(ens.id)
         return True
-    except (ValueError, KeyError):
+    except ValueError:
         pass
     try:
         return catalog.search_perfect_separable(ens) is not None

@@ -12,13 +12,14 @@ C - sqrt(A^2 + B^2) / 2 for any priors; ``qt_delta_closed`` spells this out
 for the biased prior family.
 
 ``curve`` pairs these quantum deltas with the pentagon-ensemble deltas from
-the discrimination engine over a grid of bias values.
+the discrimination engine over a grid of bias values: one prior row per
+point feeds both, and the pentagon ensemble and its config are built at import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,10 @@ from .discrimination import SearchConfig, leader_optima
 
 # Largest bias grid ``curve`` accepts; it solves 10^5 points in seconds.
 MAX_CURVE_STEPS = 100_000
-CSV_HEADER = "p,delta_poly_a,delta_poly_b,delta_poly,delta_qt_a,delta_qt_b,delta_qt"
+
+# The pentagon ensemble and its default measurements; no grid changes them.
+_S5 = load("s5")
+_S5_CONFIG = SearchConfig.for_ensemble(_S5)
 
 __all__ = [
     "CSV_HEADER",
@@ -43,27 +47,17 @@ __all__ = [
 
 
 def _split(leader: int) -> tuple:
-    g1, g2 = [], []
+    """The leader's two groups, and each state's (cos a, sin a) at its leader angle a, negated in the second."""
+    groups, terms = ([], []), []
     for i, angles in enumerate(Q3_ANGLES):
-        a = angles[leader]
-        (g1 if math.cos(a) + math.sin(a) > 0.0 else g2).append(i)
-    return tuple(g1), tuple(g2)
+        cos_a, sin_a = math.cos(angles[leader]), math.sin(angles[leader])
+        first = cos_a + sin_a > 0.0
+        groups[not first].append(i)
+        terms.append((cos_a, sin_a) if first else (-cos_a, -sin_a))
+    return tuple(map(tuple, groups)), tuple(terms)
 
 
-_GROUPS = tuple(_split(leader) for leader in range(3))
-
-
-def _signed_trig(leader: int) -> tuple:
-    """Each state's (cos a, sin a) at its leader angle a, negated in the leader's second group."""
-    g1, _ = _GROUPS[leader]
-    terms = []
-    for i, angles in enumerate(Q3_ANGLES):
-        sign = 1.0 if i in g1 else -1.0
-        terms.append((sign * math.cos(angles[leader]), sign * math.sin(angles[leader])))
-    return tuple(terms)
-
-
-_SIGNED_TRIG = tuple(_signed_trig(leader) for leader in range(3))
+_GROUPS, _SIGNED_TRIG = zip(*(_split(leader) for leader in range(3)))
 
 
 def grouping(leader: int) -> tuple:
@@ -78,25 +72,23 @@ def grouping(leader: int) -> tuple:
     return _GROUPS[leader]
 
 
-def _coefficients(priors: PriorFamily, leader: int) -> tuple:
-    """(A, B, C) with the leader's total error C - (A cos theta + B sin theta) / 2.
+def _optimum(w: np.ndarray, leader: int) -> tuple:
+    """(theta*, delta) for the prior row w, from the leader's error C - (A cos theta + B sin theta) / 2.
 
     A state of weight w at leader angle a adds w (1 -/+ cos(theta - a)) / 2 in
-    the first/second group; expanding the cosine gives the signed sums below.
+    the first/second group; expanding the cosine gives the signed sums A, B.
     """
-    grouping(leader)  # checks the leader range
-    w = priors.weights(8)
     a_coef = b_coef = 0.0
     for wi, (cos_a, sin_a) in zip(w.tolist(), _SIGNED_TRIG[leader]):
         a_coef += wi * cos_a
         b_coef += wi * sin_a
-    return a_coef, b_coef, 0.5 * float(w.sum())
+    return math.atan2(b_coef, a_coef), 0.5 * float(w.sum()) - 0.5 * math.hypot(a_coef, b_coef)
 
 
 def qt_optimize(priors: PriorFamily, leader: int) -> tuple:
     """(theta*, delta): the optimal leader angle in [0, pi/2] and its error, in closed form."""
-    a_coef, b_coef, c = _coefficients(priors, leader)
-    return math.atan2(b_coef, a_coef), c - 0.5 * math.hypot(a_coef, b_coef)
+    grouping(leader)  # checks the leader range
+    return _optimum(priors.weights(8), leader)
 
 
 def qt_delta_closed(p: float, protocol: str) -> float:
@@ -109,8 +101,7 @@ def qt_delta_closed(p: float, protocol: str) -> float:
     raise ValueError(f"protocol must be 'a' or 'b', got {protocol!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One curve row; the field order is the CSV column order."""
 
     p: float
@@ -122,13 +113,16 @@ class CurvePoint:
     delta_qt: float
 
 
+CSV_HEADER = ",".join(CurvePoint._fields)
+
+
 def curve(p_min: float, p_max: float, steps: int) -> list:
     """Pentagon-vs-quantum deltas over a bias grid of at most MAX_CURVE_STEPS points.
 
     Per point: the pentagon ensemble deltas with the leader forced to Alice
-    (a) and the best of Bob/Charlie (b), all points read off one batched
-    ``leader_optima`` call, and the optimal quantum deltas for the same
-    leaders.
+    (a) and the best of Bob/Charlie (b), and the optimal quantum deltas for
+    the same leaders.  Each point's prior row is built once; the pentagon
+    deltas of all rows come from one batched ``leader_optima`` call.
     """
     if not 0.0 < p_min < p_max < 0.5:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
@@ -136,20 +130,19 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if steps > MAX_CURVE_STEPS:
         raise ValueError(f"need at most {MAX_CURVE_STEPS} steps, got {steps}")
-    ens = load("s5")
-    families = [biased(p) for p in np.linspace(p_min, p_max, steps).tolist()]
-    priors = np.array([family.weights(ens.size) for family in families])
+    grid = np.linspace(p_min, p_max, steps).tolist()
+    rows = np.array([biased(p).weights(8) for p in grid])
     points = []
-    for family, optima in zip(families, leader_optima(ens, SearchConfig.for_ensemble(ens), priors)):
+    for p, w, optima in zip(grid, rows, leader_optima(_S5, _S5_CONFIG, rows)):
         poly = (1.0 - optima[0], min(1.0 - optima[l] for l in (1, 2)))
-        qt = (qt_optimize(family, 0)[1], min(qt_optimize(family, l)[1] for l in (1, 2)))
-        points.append(CurvePoint(family.p, *poly, min(poly), *qt, min(qt)))
+        qt = (_optimum(w, 0)[1], min(_optimum(w, l)[1] for l in (1, 2)))
+        points.append(CurvePoint(p, *poly, min(poly), *qt, min(qt)))
     return points
 
 
 def curve_csv(points) -> str:
     """CSV rendering: '.' decimal separator, LF line endings, 10 significant digits."""
-    rows = (",".join(format(float(v), ".10g") for v in astuple(pt)) for pt in points)
+    rows = (",".join(format(v, ".10g") for v in pt) for pt in points)
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 

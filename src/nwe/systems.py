@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +56,9 @@ class ProbabilityBoundError(ValueError):
     """The inner product of an effect/state pair lies outside [0, 1] beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class ZeroOneProfile:
+class ZeroOneProfile(NamedTuple):
     """Which pure states one effect filters with probability one, zero, or neither."""
 
-    effect_index: int
     ones: frozenset
     zeros: frozenset
     fractional: frozenset
@@ -69,16 +68,16 @@ class ZeroOneProfile:
 class GptSystem:
     """An elementary system: pure states, extremal effects, and the unit effect.
 
-    Immutable after construction; every operation on it is a pure function,
-    so instances are safe to share across threads or processes.
+    Immutable after construction (the factories store read-only arrays);
+    every operation on it is a pure function, so instances are safe to share
+    across threads or processes.
     """
 
     kind: str  # "polygon" or "bloch_circle"
-    dim: int
-    pure_states: np.ndarray  # (n, dim); empty for the Bloch circle
-    ray_extremal_effects: np.ndarray  # (n, dim)
-    complement_effects: np.ndarray  # (n, dim), row i = unit - ray_extremal[i]
-    unit_effect: np.ndarray  # (dim,)
+    pure_states: np.ndarray  # (n, 3); empty for the Bloch circle
+    ray_extremal_effects: np.ndarray  # (n, 3)
+    complement_effects: np.ndarray  # (n, 3), row i = unit - ray_extremal[i]
+    unit_effect: np.ndarray  # (3,)
     extremal_measurements: tuple  # pairs of combined effect indices
 
     @property
@@ -122,6 +121,13 @@ class GptSystem:
         return np.array([0.5 * math.cos(theta), 0.5 * math.sin(theta), 0.5])
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: one system is shared by every ensemble and config built on it."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def make_polygon(n: int) -> GptSystem:
     """Construct the regular n-gon model (n >= 3)."""
     if n < 3:
@@ -138,14 +144,13 @@ def make_polygon(n: int) -> GptSystem:
         effects = states / (1.0 + r * r)
         meas = tuple((i, n + i) for i in range(n))
     unit = np.array([0.0, 0.0, 1.0])
-    return GptSystem("polygon", 3, states, effects, unit - effects, unit, meas)
+    return GptSystem("polygon", *_frozen(states, effects, unit - effects, unit), meas)
 
 
 def make_bloch_circle() -> GptSystem:
     """Construct the angle-parameterized circle model (XZ great circle of a qubit)."""
-    empty = np.zeros((0, 3))
-    unit = np.array([0.0, 0.0, 1.0])
-    return GptSystem("bloch_circle", 3, empty, empty, empty, unit, ())
+    empty, unit = _frozen(np.zeros((0, 3)), np.array([0.0, 0.0, 1.0]))
+    return GptSystem("bloch_circle", empty, empty, empty, unit, ())
 
 
 def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> float:
@@ -214,4 +219,4 @@ def zero_one_profile(sys: GptSystem, k: int, eps: float = DEFAULT_EPS) -> ZeroOn
     ones = frozenset(int(i) for i in np.flatnonzero(vals >= 1.0 - eps))
     zeros = frozenset(int(i) for i in np.flatnonzero(vals <= eps))
     fractional = frozenset(range(sys.n)) - ones - zeros
-    return ZeroOneProfile(k, ones, zeros, fractional)
+    return ZeroOneProfile(ones, zeros, fractional)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import nwe
 from nwe.catalog import (
     Q3_ANGLES,
+    PriorFamily,
     SearchSpaceTooLarge,
     _party_candidates,
     biased,
@@ -46,6 +47,20 @@ def test_bias_one_eighth_equals_uniform():
 def test_invalid_bias_rejected(p):
     with pytest.raises(ValueError):
         biased(p)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.0])
+def test_prior_family_states_the_bias_rule(p):
+    with pytest.raises(ValueError, match=r"^bias p must lie strictly inside \(0, 1/2\), got "):
+        PriorFamily(p)
+
+
+def test_prior_family_is_uniform_without_a_bias():
+    assert PriorFamily() == uniform()
+    assert PriorFamily().describe() == "uniform"
+    assert_allclose(PriorFamily().weights(8), np.full(8, 0.125), atol=0)
+    assert biased(0.2) == PriorFamily(0.2)
+    assert biased(0.2).describe() == "biased p=0.2"
 
 
 def test_biased_needs_eight_states():

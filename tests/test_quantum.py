@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nwe
+from nwe import quantum
 from _oracles import golden_section_min, qt_perr
 from nwe.catalog import Q3_ANGLES, biased, load, uniform
 from nwe.composition import CompositeSystem, ProductState
@@ -204,6 +205,31 @@ def test_full_curve_csv_is_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CURVE_49_SHA256
 
 
+def test_curve_columns_equal_direct_solves_exactly():
+    rng = np.random.default_rng(2019)
+    cfg = SearchConfig.for_ensemble(load("s5"))
+    for steps in (2, 60, *rng.integers(3, 60, size=10).tolist()):
+        lo, hi = sorted(rng.uniform(0.001, 0.499, size=2).tolist())
+        for pt in curve(lo, hi, steps):
+            family = biased(pt.p)
+            assert pt.delta_qt_a == qt_optimize(family, 0)[1]
+            assert pt.delta_qt_b == min(qt_optimize(family, l)[1] for l in (1, 2))
+            ens = load("s5", family)
+            assert pt.delta_poly_a == 1.0 - optimal_local(ens, cfg, 0).success
+            assert pt.delta_poly_b == min(1.0 - optimal_local(ens, cfg, l).success for l in (1, 2))
+
+
+def test_curve_builds_no_ensemble_or_config(monkeypatch):
+    expected = curve(0.05, 0.45, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("curve rebuilt the pentagon ensemble or its config")
+
+    monkeypatch.setattr(quantum, "load", refuse)
+    monkeypatch.setattr(SearchConfig, "for_ensemble", refuse)
+    assert curve(0.05, 0.45, 7) == expected
+
+
 def test_curve_rejects_bad_ranges():
     with pytest.raises(ValueError):
         curve(0.2, 0.1, 5)
@@ -237,7 +263,8 @@ def test_curve_csv_format():
     points = curve(0.1, 0.2, 3)
     text = curve_csv(points)
     lines = text.split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == ",".join(type(points[0])._fields)
+    assert lines[1] == ",".join(format(v, ".10g") for v in tuple(points[0]))  # rows are tuples in column order
     assert len(lines) == 5 and lines[-1] == ""
     first = lines[1].split(",")
     assert len(first) == 7

@@ -272,6 +272,7 @@ def test_zero_one_profiles():
     assert pr5.ones == frozenset({0})
     assert pr5.zeros == frozenset({2, 3})
     assert pr5.fractional == frozenset({1, 4})
+    assert pr5 == (frozenset({0}), frozenset({2, 3}), frozenset({1, 4}))  # (ones, zeros, fractional)
 
     sq = make_polygon(4)
     pr4 = zero_one_profile(sq, 0)
@@ -281,3 +282,15 @@ def test_zero_one_profiles():
         zero_one_profile(penta, 10)
     with pytest.raises(TypeError):
         zero_one_profile(make_bloch_circle(), 0)
+
+
+def test_systems_store_read_only_arrays():
+    penta = make_polygon(5)
+    stored = (penta.pure_states, penta.ray_extremal_effects, penta.complement_effects, penta.unit_effect)
+    for view in (penta.effect(0), penta.effect(5), penta.pure_state(0), *stored):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 9.0
+    assert_allclose(penta.effect(0), make_polygon(5).effect(0), atol=0)
+    circle = make_bloch_circle()
+    with pytest.raises(ValueError, match="read-only"):
+        circle.unit_effect[0] = 9.0
