@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositeSystem, ProductEffect, ProductState, SeparableMeasurement, kron
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, likelihoods, make_bloch_circle, make_polygon
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, _frozen, likelihoods, make_bloch_circle, make_polygon
 
 __all__ = [
     "CATALOG_IDS",
@@ -131,7 +131,7 @@ def biased(p: float) -> PriorFamily:
 
 @dataclass(frozen=True, eq=False)
 class NamedEnsemble:
-    """Prior probabilities paired with product states over a composite system."""
+    """Prior probabilities, stored as a checked read-only copy, paired with product states."""
 
     id: str
     composite: CompositeSystem
@@ -140,6 +140,7 @@ class NamedEnsemble:
 
     def __post_init__(self):
         require_priors([self.priors], self.size)  # as a one-row stack, so a stack of rows is refused
+        object.__setattr__(self, "priors", *_frozen(np.array(self.priors, dtype=float)))
 
     @property
     def size(self) -> int:

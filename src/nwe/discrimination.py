@@ -35,11 +35,13 @@ per party.  A forced leader changes only the root step, so one lattice
 serves every leader: ``leader_optima`` reads each party's forced-leader
 optimum off it.  The tables hold no priors, so the tensor has a trailing
 axis with one row of priors per entry: ``optimal_local`` solves the
-ensemble's own row, ``leader_optima`` a (B, K) stack of rows.  Products,
-sums and maxima are elementwise, so every row equals its own solve bit for
-bit.  The tensor has prod_a (1 + J_a) entries per row, and
-``leader_optima`` solves max(1, _CHUNK_ENTRIES // prod_a (1 + J_a)) rows
-at a time (49 for the pentagon set).  The leaf values are accumulated a
+ensemble's own row, ``leader_optima`` a (B, K) stack of rows, and tables
+prepared once solve any number of stacks (``quantum`` keeps the pentagon's).
+The subset walk is made once per (arity, adaptive).  Products, sums and
+maxima are elementwise, so every row equals its own solve bit for bit.
+The tensor has prod_a (1 + J_a) entries per row, and ``leader_optima``
+solves max(1, _CHUNK_ENTRIES // prod_a (1 + J_a)) rows at a time (49 for
+the pentagon set).  The leaf values are accumulated a
 chunk of states at a time, so memory stays within a small multiple of one
 block's tensor whatever the number of states or priors.
 
@@ -56,13 +58,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
 
 from . import catalog
 from .composition import SeparableMeasurement
-from .systems import likelihoods, require_complete
+from .systems import _frozen, likelihoods, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
@@ -119,7 +122,7 @@ class SearchConfig:
         object.__setattr__(
             self,
             "measurements",
-            tuple(tuple(np.asarray(m, dtype=float) for m in per) for per in self.measurements),
+            tuple(_frozen(*(np.array(m, dtype=float) for m in per)) for per in self.measurements),
         )
 
     @classmethod
@@ -189,7 +192,7 @@ def eval_tree(tree, ens) -> float:
             total += walk(child, weights * lik, used | {node.party})
         return total
 
-    return walk(tree, np.asarray(ens.priors, dtype=float), frozenset())
+    return walk(tree, ens.priors, frozenset())
 
 
 def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> DiscriminationReport:
@@ -200,7 +203,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     """
     arity = ens.composite.arity
     tables, offsets, slots = _tables(ens, cfg, leader)
-    values = _leaf_values(np.asarray(ens.priors, dtype=float)[None], tables)[..., 0]
+    values = _leaf_values(ens.priors[None], tables)[..., 0]
     by_leader = _bellman(values, slots, cfg)
 
     def build(index, remaining, weights):
@@ -222,7 +225,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
         return cfg.node(a, mi, children)
 
     root = (0,) * arity
-    tree = build(root, tuple(range(arity)), np.asarray(ens.priors, dtype=float))
+    tree = build(root, tuple(range(arity)), ens.priors)
     success = float(values[root] if leader is None else by_leader[leader][0])
     return DiscriminationReport(success, 1.0 - success, tree, leader)
 
@@ -236,8 +239,14 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
     solve with a trailing prior axis.
     """
     tables, _, slots = _tables(ens, cfg, None)
-    catalog.require_priors(priors, ens.size)
-    priors = np.asarray(priors, dtype=float).reshape(-1, ens.size)
+    return _solve_rows(tables, slots, cfg, priors)
+
+
+def _solve_rows(tables, slots, cfg: SearchConfig, priors) -> list:
+    """``leader_optima`` on tables and slots already built by ``_tables`` for cfg."""
+    size = tables[0].shape[1]
+    catalog.require_priors(priors, size)
+    priors = np.asarray(priors, dtype=float).reshape(-1, size)
     per_block = max(1, _CHUNK_ENTRIES // math.prod(len(t) for t in tables))
     rows = []
     for lo in range(0, len(priors), per_block):
@@ -247,7 +256,7 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's likelihood table: (tables, offsets, slots)."""
+    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots)."""
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
@@ -274,9 +283,9 @@ def _tables(ens, cfg: SearchConfig, leader):
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    tables = [
-        np.vstack([np.ones(ens.size), likelihoods(e, _factors(ens, p))]) for p, e in enumerate(effects)
-    ]
+    tables = _frozen(
+        *(np.vstack([np.ones(ens.size), likelihoods(e, _factors(ens, p))]) for p, e in enumerate(effects))
+    )
     return tables, offsets, slots
 
 
@@ -348,26 +357,36 @@ def _bellman(values: np.ndarray, slots, cfg: SearchConfig) -> tuple:
 
     An entry's measured parties are its party axes with a nonzero index; a
     trailing axis, if any, has one entry per row of priors.  Subsets of
-    measured parties are walked by decreasing size, so every entry one more
-    measurement leads to is final before it is read.  The root takes the
-    best over cfg's movers; returns its values with each party leading.
+    measured parties are walked by decreasing size (``_walk``), so every
+    entry one more measurement leads to is final before it is read.  The root
+    takes the best over cfg's movers; returns its values with each party leading.
     """
-    arity = len(slots)
     by_leader = []
-    for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
-        rest = tuple(a for a in range(arity) if not measured >> a & 1)
-        here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
-        movers = _movers(rest, cfg)
+    for here, root, moves in _walk(len(slots), cfg.adaptive):
         best = None
-        for a in rest if measured == 0 else movers:
-            after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
-            value = _outcome_sums(after, slots[a], a).max(axis=a, keepdims=True)
-            if measured == 0:
+        for a, after, mover in moves:
+            value = _outcome_sums(values[after], slots[a], a).max(axis=a, keepdims=True)
+            if root:
                 by_leader.append(value.ravel())
-            if a in movers:
+            if mover:
                 best = value if best is None else np.maximum(best, value)
         values[here] = best
     return tuple(by_leader)
+
+
+@cache
+def _walk(arity: int, adaptive: bool) -> tuple:
+    """``_bellman``'s steps, largest subset of measured parties first: (here, root, moves), where
+    ``moves`` has (a, the entries after a measures, a is a mover) per party read, all at the root."""
+    steps = []
+    for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
+        rest = tuple(a for a in range(arity) if not measured >> a & 1)
+        here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
+        movers = rest if adaptive else rest[:1]  # _movers without a leader
+        reads = rest if measured == 0 else movers
+        moves = tuple((a, here[:a] + (slice(1, None),) + here[a + 1 :], a in movers) for a in reads)
+        steps.append((here, measured == 0, moves))
+    return tuple(steps)
 
 
 def _global_perfect_verified(ens) -> bool:

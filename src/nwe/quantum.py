@@ -13,7 +13,8 @@ for the biased prior family.
 
 ``curve`` pairs these quantum deltas with the pentagon-ensemble deltas from
 the discrimination engine over a grid of bias values: one prior row per
-point feeds both, and the pentagon ensemble and its config are built at import.
+point feeds both.  The pentagon ensemble, its config and its likelihood
+tables are built at import, so a call solves only its prior rows.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import Q3_ANGLES, PriorFamily, biased, load
-from .discrimination import SearchConfig, leader_optima
+from .discrimination import SearchConfig, _solve_rows, _tables
 
 # Largest bias grid ``curve`` accepts; it solves 10^5 points in seconds.
 MAX_CURVE_STEPS = 100_000
 
-# The pentagon ensemble and its default measurements; no grid changes them.
+# The pentagon ensemble, its default measurements and their lattice tables; no grid changes them.
 _S5 = load("s5")
 _S5_CONFIG = SearchConfig.for_ensemble(_S5)
+_S5_TABLES, _, _S5_SLOTS = _tables(_S5, _S5_CONFIG, None)
 
 __all__ = [
     "CSV_HEADER",
@@ -122,7 +124,7 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
     Per point: the pentagon ensemble deltas with the leader forced to Alice
     (a) and the best of Bob/Charlie (b), and the optimal quantum deltas for
     the same leaders.  Each point's prior row is built once; the pentagon
-    deltas of all rows come from one batched ``leader_optima`` call.
+    deltas of all rows are one batched solve on the tables built at import.
     """
     if not 0.0 < p_min < p_max < 0.5:
         raise ValueError(f"need 0 < p_min < p_max < 1/2, got [{p_min}, {p_max}]")
@@ -133,7 +135,7 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
     grid = np.linspace(p_min, p_max, steps).tolist()
     rows = np.array([biased(p).weights(8) for p in grid])
     points = []
-    for p, w, optima in zip(grid, rows, leader_optima(_S5, _S5_CONFIG, rows)):
+    for p, w, optima in zip(grid, rows, _solve_rows(_S5_TABLES, _S5_SLOTS, _S5_CONFIG, rows)):
         poly = (1.0 - optima[0], min(1.0 - optima[l] for l in (1, 2)))
         qt = (_optimum(w, 0)[1], min(_optimum(w, l)[1] for l in (1, 2)))
         points.append(CurvePoint(p, *poly, min(poly), *qt, min(qt)))

@@ -85,6 +85,20 @@ def test_ensemble_priors_follow_the_prior_rule(priors, message):
         nwe.NamedEnsemble("bad", ens.composite, ens.states, priors)
 
 
+def test_ensemble_priors_are_a_read_only_copy():
+    ens = load("s5")
+    with pytest.raises(ValueError, match="read-only"):
+        ens.priors[0] = 5.0
+    given = [0.125] * 8
+    given_array = np.array(given)
+    for priors in (given, given_array):
+        copy = nwe.NamedEnsemble("copy", ens.composite, ens.states, priors).priors
+        assert copy.dtype == float and not copy.flags.writeable
+        assert copy is not priors
+    given_array[0] = 5.0  # the caller's array stays theirs to write
+    assert copy[0] == 0.125
+
+
 def test_prior_rule_takes_one_row_or_a_stack():
     row = biased(0.2).weights(8)
     require_priors(row, 8)

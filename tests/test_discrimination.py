@@ -33,10 +33,13 @@ from nwe.composition import (
 )
 from nwe.discrimination import (
     _CHUNK_ENTRIES,
+    MAX_ARITY,
     MAX_MEASUREMENTS_PER_PARTY,
     _bellman,
     _leaf_values,
+    _movers,
     _tables,
+    _walk,
     Leaf,
     MalformedTreeError,
     SearchConfig,
@@ -434,6 +437,43 @@ def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, state
                     assert tree_to_text(report.tree) == tree_to_text(gathered.tree)
 
 
+def _inline_walk(arity, adaptive):
+    """The walk as ``_bellman`` used to build it on every solve: (here, root, moves) per subset."""
+    cfg = SearchConfig(((),) * arity, adaptive)
+    steps = []
+    for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
+        rest = tuple(a for a in range(arity) if not measured >> a & 1)
+        here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
+        movers = _movers(rest, cfg)
+        moves = []
+        for a in rest if measured == 0 else movers:
+            moves.append((a, here[:a] + (slice(1, None),) + here[a + 1 :], a in movers))
+        steps.append((here, measured == 0, tuple(moves)))
+    return tuple(steps)
+
+
+def test_walk_equals_the_inline_construction():
+    for arity in range(1, MAX_ARITY + 1):
+        for adaptive in (True, False):
+            assert _walk(arity, adaptive) == _inline_walk(arity, adaptive)
+            assert _walk(arity, adaptive) is _walk(arity, adaptive)  # made once per shape
+    assert _walk.cache_info().currsize <= 2 * MAX_ARITY
+
+
+def test_tables_and_config_effects_are_read_only():
+    ens = load("s5")
+    cfg = SearchConfig.for_ensemble(ens)
+    given = [np.array(m) for m in ens.composite.parts[0].measurements()]
+    copied = SearchConfig((given,) * 3)
+    tables, _, _ = _tables(ens, cfg, None)
+    effects = [m for c in (cfg, copied) for per in c.measurements for m in per]
+    for array in (*tables, *effects):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 9.0
+    given[0][0] = 9.0  # the caller's arrays stay theirs to write
+    assert np.array_equal(copied.measurements[0][0], cfg.measurements[0][0])
+
+
 def _validation_cases():
     """(id, per-party measurement lists, leader, expected message), in the order they are checked."""
     penta = load("s5").composite.parts[0]
@@ -533,7 +573,12 @@ def test_leader_optima_equal_forced_leader_solves_on_catalog(cid):
 def test_leader_optima_equal_forced_leader_solves_on_the_bias_grid(cid):
     ens = load(cid)
     grid = np.array([biased(float(p)).weights(ens.size) for p in np.linspace(0.01, 0.49, 49)])
-    _assert_leader_optima_match(ens, SearchConfig.for_ensemble(ens), grid)  # one call; s7 spans 3 blocks
+    for cfg in (
+        SearchConfig.for_ensemble(ens),
+        SearchConfig.for_ensemble(ens, adaptive=False),
+        SearchConfig.for_ensemble(ens, indices=[0, 1]),
+    ):
+        _assert_leader_optima_match(ens, cfg, grid)  # one call; s7 spans 3 blocks
 
 
 @pytest.mark.parametrize("arity, measurements, states", DIFFERENTIAL_SHAPES)

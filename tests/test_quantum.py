@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nwe
-from nwe import quantum
+from nwe import discrimination, quantum
 from _oracles import golden_section_min, qt_perr
 from nwe.catalog import Q3_ANGLES, biased, load, uniform
 from nwe.composition import CompositeSystem, ProductState
@@ -228,6 +228,24 @@ def test_curve_builds_no_ensemble_or_config(monkeypatch):
     monkeypatch.setattr(quantum, "load", refuse)
     monkeypatch.setattr(SearchConfig, "for_ensemble", refuse)
     assert curve(0.05, 0.45, 7) == expected
+
+
+def test_curve_prepares_no_tables_per_call(monkeypatch):
+    expected = curve(0.05, 0.45, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("curve rebuilt the pentagon likelihood tables")
+
+    monkeypatch.setattr(discrimination, "_tables", refuse)
+    monkeypatch.setattr(discrimination, "likelihoods", refuse)
+    assert curve(0.05, 0.45, 7) == expected
+
+
+def test_prepared_pentagon_inputs_are_read_only():
+    effects = [m for per in quantum._S5_CONFIG.measurements for m in per]
+    for array in (*quantum._S5_TABLES, quantum._S5.priors, *effects):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 9.0
 
 
 def test_curve_rejects_bad_ranges():
