@@ -4,10 +4,10 @@ Transmitting an elementary system once induces the channel
 rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
 reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
-encode/decode compositions (input -> one of d symbols -> output).  One
-nonnegative least-squares solve over that vertex list looks for convex
-weights that certify membership; only when it finds none does a separation
-LP look for the witness against it.  These are finite (m, n, d)
+encode/decode compositions (input -> one of d symbols -> output).  Product
+weights, then one nonnegative least-squares solve, look for convex weights
+that certify membership; only when neither finds them does a separation LP
+look for the witness against it.  These are finite (m, n, d)
 certifications only; no claim spans all alphabet sizes.
 """
 
@@ -55,10 +55,10 @@ class Channel:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("channel needs a nonempty 2-D row matrix")
-        # written so that NaN fails: every comparison with NaN is False
-        if not np.all(rows >= -COMPLETENESS_TOL):
+        # written so that NaN fails: min and max propagate it, and every comparison with NaN is False
+        if not rows.min() >= -COMPLETENESS_TOL:
             raise ValueError("channel rows must be nonnegative")
-        if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= COMPLETENESS_TOL):
+        if not np.abs(rows.sum(axis=1) - 1.0).max() <= COMPLETENESS_TOL:
             raise ValueError("channel rows must each sum to 1")
 
 
@@ -129,14 +129,11 @@ def _convex_certificate(V, x, weights):
 def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
     """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty list of ch's shape).
 
-    Convex weights within MEMBERSHIP_TOL, from one NNLS solve or else from the
-    separation LP's duals, certify membership; a separating hyperplane with
-    margin above WITNESS_MARGIN certifies exclusion.  Raises
+    Convex weights within MEMBERSHIP_TOL, from the product weights, one NNLS
+    solve or else the separation LP's duals, certify membership; a separating
+    hyperplane with margin above WITNESS_MARGIN certifies exclusion.  Raises
     InconclusiveMembership when neither margin is met.
     """
-    # scipy.optimize takes most of the package's import time; only here is it needed
-    from scipy.optimize import linprog, nnls
-
     if vertices is None:
         vertices = classical_vertices(*ch.rows.shape, d)
     if (shapes := {v.rows.shape for v in vertices}) != {ch.rows.shape}:
@@ -144,6 +141,14 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
     V = np.array([v.rows.ravel() for v in vertices])  # (K, m*n)
     x = ch.rows.ravel()
     K = len(vertices)
+    # product weights w_f = prod_x p(f(x)|x) recompose ch when the vertices are every deterministic
+    # channel, as for d >= min(m, n) (Ziegler, Lectures on Polytopes); else the certificate decides
+    if inside := _convex_certificate(V, x, (V.reshape(K, *ch.rows.shape) * ch.rows).sum(2).prod(1)):
+        return inside
+
+    # scipy.optimize takes most of the package's import time; only here is it needed
+    from scipy.optimize import linprog, nnls
+
     try:  # nonnegative least squares on [V^T; 1^T] w = [x; 1] (Lawson & Hanson, ch. 23)
         weights = nnls(np.vstack([V.T, np.ones(K)]), np.append(x, 1.0))[0]
     except RuntimeError:  # its iteration limit; the separation duals below still certify

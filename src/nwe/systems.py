@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,10 +101,15 @@ class GptSystem:
     def effect_label(self, k: int) -> str:
         return f"e{k}" if k < self.n else f"eb{k - self.n}"
 
+    @cached_property
+    def _measurement_stacks(self) -> np.ndarray:
+        """(M, 2, 3) read-only stack of every binary extremal measurement, built on first use."""
+        pairs = [[self.effect(i), self.effect(j)] for i, j in self.extremal_measurements]
+        return _frozen(np.array(pairs).reshape(-1, 2, 3))[0]
+
     def measurement(self, m: int) -> np.ndarray:
-        """Stacked effect vectors of the m-th binary extremal measurement."""
-        i, j = self.extremal_measurements[m]
-        return np.stack([self.effect(i), self.effect(j)])
+        """Stacked effect vectors of the m-th binary extremal measurement (read-only)."""
+        return self._measurement_stacks[m]
 
     def measurements(self) -> list:
         return [self.measurement(m) for m in range(len(self.extremal_measurements))]
@@ -153,6 +159,16 @@ def make_bloch_circle() -> GptSystem:
     return GptSystem("bloch_circle", empty, empty, empty, unit, ())
 
 
+def _inner(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, summed left to right: ``(t0 + t1) + t2``."""
+    # numpy's elementwise ops round once each and never fuse, so no BLAS kernel can change a bit
+    terms = effects * states
+    v = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        v = v + terms[..., i]
+    return v
+
+
 def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> float:
     """Outcome probability <effect, state>.
 
@@ -163,33 +179,30 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
     state = np.asarray(state, dtype=float)
     if effect.shape != state.shape:
         raise ValueError(f"dimension mismatch: effect {effect.shape} vs state {state.shape}")
-    v = float(effect @ state)
+    v = float(_inner(effect, state))
     if not -eps <= v <= 1.0 + eps:  # NaN fails
         raise ProbabilityBoundError(f"inner product {v!r} outside [0, 1] (tolerance eps={eps:.10g})")
     return min(max(v, 0.0), 1.0)
 
 
 def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(J, K) table of ``prob(effects[j], states[k], eps)``, bit for bit, from one matmul."""
+    """(J, K) table of ``prob(effects[j], states[k], eps)``, bit for bit: the same fixed-order sum."""
     effects = np.asarray(effects, dtype=float)
     states = np.asarray(states, dtype=float)
     if effects.shape[-1:] != states.shape[-1:]:
         raise ValueError(f"dimension mismatch: effects {effects.shape} vs states {states.shape}")
-    # numpy hands a product with one row or one column to BLAS gemv, which rounds
-    # differently from the 1-D dot in ``prob``; doubled rows keep it on gemm, which agrees
-    doubled_effects, doubled_states = (np.concatenate([a, a]) for a in (effects, states))
-    v = (doubled_effects @ doubled_states.T)[: len(effects), : len(states)]
-    ok = (v >= -eps) & (v <= 1.0 + eps)  # NaN fails
-    if not ok.all():
-        raise ProbabilityBoundError(
-            f"inner product {float(v[~ok][0])!r} outside [0, 1] (tolerance eps={eps:.10g})"
-        )
-    return np.clip(v, 0.0, 1.0, out=v)
+    v = _inner(effects[:, None], states)
+    lo, hi = v.min(initial=np.inf), v.max(initial=-np.inf)  # NaN propagates; an empty table passes
+    if not (-eps <= lo and hi <= 1.0 + eps):
+        bad = v[~((v >= -eps) & (v <= 1.0 + eps))]
+        raise ProbabilityBoundError(f"inner product {float(bad[0])!r} outside [0, 1] (tolerance eps={eps:.10g})")
+    # clip, unlike np.maximum, keeps -0.0, which polygon_channels' byte keys tell apart
+    return v.clip(0.0, 1.0, out=v) if lo < 0.0 or hi > 1.0 else v
 
 
 def require_complete(effects, unit: np.ndarray, what: str) -> None:
     """Raise ValueError unless the effects sum to the unit within DEFAULT_EPS."""
-    if not np.abs(np.sum(effects, axis=0) - unit).max() <= DEFAULT_EPS:  # NaN fails
+    if not np.abs(np.asarray(effects, dtype=float).sum(axis=0) - unit).max() <= DEFAULT_EPS:  # NaN fails
         raise ValueError(f"incomplete {what}: effects do not sum to the unit")
 
 

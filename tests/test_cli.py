@@ -184,6 +184,8 @@ def test_signal_identity_csv_weights_are_a_certificate(capsys, k, d):
     assert abs(weights.sum() - 1.0) <= MEMBERSHIP_TOL
     recomposed = sum(w * v.rows for w, v in zip(weights, vertices))
     assert np.max(np.abs(recomposed - np.eye(k))) <= MEMBERSHIP_TOL
+    # d >= k: the product weights put exactly 1 on the identity vertex
+    assert sorted(weights.tolist()) == [0.0] * (len(weights) - 1) + [1.0]
 
 
 def test_only_signal_loads_scipy():
@@ -193,6 +195,9 @@ def test_only_signal_loads_scipy():
             "assert 'scipy.optimize' not in sys.modules",
             "assert nwe.cli.main(['local', 's5']) == 0",
             "assert 'scipy.optimize' not in sys.modules",
+            # every binary channel is inside through d >= 2 symbols: the product weights certify it
+            "assert nwe.cli.main(['signal', '--polygon', '5', '--m', '3', '--n', '2', '--d', '2']) == 0",
+            "assert 'scipy' not in sys.modules",
             "assert nwe.cli.main(['signal', '--identity', '3', '--d', '2']) == 1",
         ]
     )
@@ -202,6 +207,7 @@ def test_only_signal_loads_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert "success = " in done.stdout
+    assert "ALL-IN" in done.stdout
     assert "NOT-IN margin 2" in done.stdout
     assert "witness c = 1" in done.stdout
 

@@ -1,6 +1,7 @@
 """Channels from single-system transmission and classical polytope membership."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_channel_rows_equal_the_scalar_table(n):
             assert ch.rows.flags.c_contiguous
 
 
-@pytest.mark.parametrize("n, m", [*itertools.product(range(3, 10), (1, 2, 3)), (7, 4)])
+@pytest.mark.parametrize("n, m", [*itertools.product(range(3, 10), (1, 2, 3)), (7, 4), *((n, 2) for n in range(10, 13))])
 def test_polygon_channels_equal_the_per_channel_loop(n, m):
     poly = make_polygon(n)
     got = polygon_channels(poly, m)
@@ -311,11 +312,37 @@ def _nnls_at_its_iteration_limit(A, b):
 
 @pytest.mark.parametrize("nnls", [_failing_nnls, _nnls_at_its_iteration_limit], ids=["zero weights", "raises"])
 def test_separation_duals_certify_when_nnls_fails(monkeypatch, nnls):
-    cases = list(_certify_channels())
+    # product weights settle most certify channels; the grid's d < min(m, n) cases reach NNLS
+    cases = [*_certify_channels(), *_grid_cases()]
     expected = [in_classical_polytope(ch, d, vertices).inside for ch, d, vertices in cases]
     assert sum(expected) > 300
-    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    calls = []
+
+    def counted(A, b):
+        calls.append(A.shape)
+        return nnls(A, b)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    by_duals = 0
     for (ch, d, vertices), inside in zip(cases, expected):
+        before = len(calls)
         result = in_classical_polytope(ch, d, vertices)
         assert result.inside == inside
         _assert_certificate(result, ch, vertices)
+        by_duals += inside and len(calls) > before
+    assert by_duals > 20
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_product_weights_certify_every_channel_when_symbols_cover_inputs_or_outputs(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    for d in (min(m, n), min(m, n) + 1):
+        vertices = classical_vertices(m, n, d)
+        assert len(vertices) == n**m  # every deterministic channel
+        for ch in _grid_channels(rng, vertices, m, n):
+            got = in_classical_polytope(ch, d, vertices)
+            assert got.inside and two_lp_in_classical_polytope(ch, vertices).inside
+            _assert_certificate(got, ch, vertices)
+            # the weights are w_f = prod_x p(f(x)|x), not an NNLS solution
+            product = [math.prod(ch.rows[x, v.rows[x].argmax()] for x in range(m)) for v in vertices]
+            assert_allclose(got.weights, product, rtol=4 * np.finfo(float).eps, atol=0)

@@ -1,6 +1,10 @@
 """Construction and probability rules of the polygon and Bloch-circle models."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,7 +200,7 @@ def test_likelihoods_equal_scalar_prob_on_polygons(n):
     effects = np.array([poly.effect(k) for k in range(2 * n)])
     table = _scalar_table(effects, poly.pure_states)
     assert np.array_equal(likelihoods(effects, poly.pure_states), table)
-    # one-row and one-column blocks take other BLAS kernels inside numpy
+    # both sum the coordinate products left to right, so no block shape may change a bit
     for j in range(2 * n):
         assert np.array_equal(likelihoods(effects[j : j + 1], poly.pure_states), table[j : j + 1])
         assert np.array_equal(likelihoods(effects[j:], poly.pure_states[j % n :]), table[j:, j % n :])
@@ -204,6 +208,31 @@ def test_likelihoods_equal_scalar_prob_on_polygons(n):
         one = poly.pure_states[k : k + 1]
         assert np.array_equal(likelihoods(effects, one), table[:, k : k + 1])
         assert np.array_equal(likelihoods(effects[k : k + 1], one), table[k : k + 1, k : k + 1])
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_likelihood_bits_do_not_depend_on_the_blas_kernel(coretype):
+    # OpenBLAS picks its kernel once, at load, so only a fresh process can run under another;
+    # where numpy does not use OpenBLAS the variable is ignored and the run repeats the default
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            "tests/test_systems.py::test_likelihoods_equal_scalar_prob_on_polygons",
+            "tests/test_signaling.py::test_channel_rows_equal_the_scalar_table",
+        ],
+        cwd=Path(__file__).resolve().parents[1],  # the root, whose pyproject puts src on the path
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr  # 4 if a test id is gone, 5 if none ran
 
 
 def test_likelihoods_equal_scalar_prob_on_q3_bloch_states():
@@ -219,14 +248,25 @@ def test_likelihoods_snap_boundary_and_raise_outside():
     u = poly.unit_effect
     states = poly.pure_states[:1]
     assert likelihoods([(1.0 + 1e-10) * u, -1e-10 * u], states).tolist() == [[1.0], [0.0]]
-    with pytest.raises(ProbabilityBoundError):
-        likelihoods([poly.effect(1), 2.0 * poly.effect(0)], states)
+    assert likelihoods(np.zeros((0, 3)), states).shape == (0, 1)
+    # the message names the first offender in effect-major order
+    with pytest.raises(ProbabilityBoundError, match=f"^inner product {2.0 * prob(poly.effect(0), states[0])!r} "):
+        likelihoods([poly.effect(1), 2.0 * poly.effect(0), 3.0 * poly.effect(0)], states)
     with pytest.raises(ProbabilityBoundError, match="^inner product nan outside"):
         likelihoods([poly.effect(1), [np.nan, 0.0, 0.5]], states)
     with pytest.raises(ProbabilityBoundError, match="^inner product nan outside"):
         likelihoods([poly.effect(1)], [poly.pure_state(0), [0.0, np.nan, 1.0]])
     with pytest.raises(ValueError):
         likelihoods([np.ones(2)], states)
+
+
+def test_negative_zero_keeps_its_sign_bit():
+    # polygon_channels keys channels on bytes, so clipping must not turn -0.0 into 0.0
+    assert np.signbit(prob(np.zeros(3), -np.ones(3)))
+    assert np.signbit(likelihoods(np.zeros((1, 3)), -np.ones((1, 3)))).tolist() == [[True]]
+    clipped = likelihoods([np.zeros(3), [1e-10, 0.0, 0.0]], -np.ones((1, 3)))  # -1e-10 is clipped
+    assert clipped.tolist() == [[0.0], [0.0]]
+    assert np.signbit(clipped).tolist() == [[True], [False]]
 
 
 def test_squit_every_pair_admits_discriminator():
@@ -294,3 +334,18 @@ def test_systems_store_read_only_arrays():
     circle = make_bloch_circle()
     with pytest.raises(ValueError, match="read-only"):
         circle.unit_effect[0] = 9.0
+    assert circle.measurements() == []
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_measurements_are_read_only_effect_stacks(n):
+    poly = make_polygon(n)
+    for m, (i, j) in enumerate(poly.extremal_measurements):
+        stack = poly.measurement(m)
+        assert stack.tobytes() == np.stack([poly.effect(i), poly.effect(j)]).tobytes()
+        assert stack.shape == (2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 9.0
+    assert np.shares_memory(poly.measurement(0), poly.measurement(0))
+    with pytest.raises(IndexError):
+        poly.measurement(len(poly.extremal_measurements))
