@@ -134,8 +134,7 @@ def cmd_curve(args) -> int:
     try:
         quantum.write_curve_csv(points, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write {args.out!r}: {exc}") from exc
     gaps = [pt.delta_poly - pt.delta_qt for pt in points]
     print(f"wrote {len(points)} rows to {args.out}")
     print(f"gap delta_poly - delta_qt: min {_fmt(min(gaps))}, max {_fmt(max(gaps))}")

@@ -210,7 +210,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
         if not remaining or not weights.any():
             return Leaf(int(np.argmax(weights)))
         best_value = -1.0
-        for a in _movers(remaining, cfg, leader if len(remaining) == arity else None):
+        for a in _movers(remaining, cfg.adaptive, leader if len(remaining) == arity else None):
             along = values[index[:a] + (slice(1, None),) + index[a + 1 :]].tolist()
             for mi, meas in enumerate(cfg.measurements[a]):
                 total = 0.0
@@ -321,11 +321,11 @@ def _outcome_sums(x: np.ndarray, slots, axis: int = 0) -> np.ndarray:
     return totals
 
 
-def _movers(remaining, cfg: SearchConfig, leader=None):
-    """Parties that may measure next: a forced leader if given, else per cfg.adaptive."""
+def _movers(remaining, adaptive: bool, leader=None):
+    """Parties that may measure next: a forced leader if given, else all remaining if adaptive, else the first."""
     if leader is not None:
         return (leader,)
-    return remaining if cfg.adaptive else remaining[:1]
+    return remaining if adaptive else remaining[:1]
 
 
 def _factors(ens, party: int) -> np.ndarray:
@@ -382,7 +382,7 @@ def _walk(arity: int, adaptive: bool) -> tuple:
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
         here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
-        movers = rest if adaptive else rest[:1]  # _movers without a leader
+        movers = _movers(rest, adaptive)
         reads = rest if measured == 0 else movers
         moves = tuple((a, here[:a] + (slice(1, None),) + here[a + 1 :], a in movers) for a in reads)
         steps.append((here, measured == 0, moves))

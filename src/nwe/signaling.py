@@ -5,9 +5,9 @@ rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
 reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
 encode/decode compositions (input -> one of d symbols -> output).  Product
-weights, then one nonnegative least-squares solve, look for convex weights
-that certify membership; only when neither finds them does a separation LP
-look for the witness against it.  These are finite (m, n, d)
+weights certify membership when they recompose the channel; otherwise one
+separation LP gives either the witness against membership or, through its
+duals, the convex weights for it.  These are finite (m, n, d)
 certifications only; no claim spans all alphabet sizes.
 """
 
@@ -129,9 +129,9 @@ def _convex_certificate(V, x, weights):
 def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
     """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty list of ch's shape).
 
-    Convex weights within MEMBERSHIP_TOL, from the product weights, one NNLS
-    solve or else the separation LP's duals, certify membership; a separating
-    hyperplane with margin above WITNESS_MARGIN certifies exclusion.  Raises
+    Convex weights within MEMBERSHIP_TOL, from the product weights or else the
+    separation LP's duals, certify membership; the LP's separating hyperplane
+    with margin above WITNESS_MARGIN certifies exclusion.  Raises
     InconclusiveMembership when neither margin is met.
     """
     if vertices is None:
@@ -147,14 +147,7 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
         return inside
 
     # scipy.optimize takes most of the package's import time; only here is it needed
-    from scipy.optimize import linprog, nnls
-
-    try:  # nonnegative least squares on [V^T; 1^T] w = [x; 1] (Lawson & Hanson, ch. 23)
-        weights = nnls(np.vstack([V.T, np.ones(K)]), np.append(x, 1.0))[0]
-    except RuntimeError:  # its iteration limit; the separation duals below still certify
-        weights = None
-    if weights is not None and (inside := _convex_certificate(V, x, weights)):
-        return inside
+    from scipy.optimize import linprog
 
     # Separation: maximize h.x - c subject to h.v_k <= c and |h| <= 1.
     mn = x.size

@@ -189,7 +189,7 @@ def gather_bellman(values, offsets, cfg):
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
         here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
-        movers = _movers(rest, cfg)
+        movers = _movers(rest, cfg.adaptive)
         best = None
         for a in rest if measured == 0 else movers:
             after = values[here[:a] + (slice(1, None),) + here[a + 1 :]]
@@ -299,7 +299,8 @@ def two_lp_in_classical_polytope(ch, vertices):
     """Membership by a feasibility LP for convex weights, then a separation LP for the witness.
 
     The separation LP is the library's own, so outside results must match it
-    bit for bit; inside decisions rest on HiGHS feasibility instead of NNLS.
+    bit for bit; inside decisions rest on HiGHS feasibility instead of the
+    library's product weights and separation duals.
     """
     from scipy.optimize import linprog
 

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism, tolerance wiring."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -141,9 +142,11 @@ def test_curve_invalid_range_is_usage_error(tmp_path, capsys):
 
 
 def test_curve_unwritable_path_is_usage_error(tmp_path, capsys):
-    code, _, err = run(capsys, "curve", "0.1", "0.4", "4", str(tmp_path / "nodir" / "x.csv"))
+    path = str(tmp_path / "nodir" / "x.csv")
+    code, out, err = run(capsys, "curve", "0.1", "0.4", "4", path)
     assert code == 2
-    assert "cannot write" in err
+    assert out == ""
+    assert err == f"error: cannot write {path!r}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
 
 
 def test_signal_polygon_all_in(capsys):
@@ -354,9 +357,11 @@ def test_eps_env_var_and_flag_precedence(capsys, monkeypatch):
     assert code == 2
 
 
-# Full stdout of the commands whose output the catalog tables now produce.
+# Exit code and full stdout, argv -> (code, stdout), of commands the golden replay does not cover:
+# output the catalog tables now produce, and membership results that no other test prints.
 PINNED_STDOUT = {
     ("info", "q3"): (
+        0,
         "ensemble q3: 8 states, 3 parties\n"
         "  state 0: a=0 x a=0 x a=0   prior 0.125\n"
         "  state 1: a=3.141592654 x a=3.141592654 x a=3.141592654   prior 0.125\n"
@@ -368,6 +373,7 @@ PINNED_STDOUT = {
         "  state 7: a=3.141592654 x a=4.71238898 x a=0   prior 0.125\n"
     ),
     ("info", "s5"): (
+        0,
         "ensemble s5: 8 states, 3 parties\n"
         "  state 0: w0 x w0 x w0   prior 0.125\n"
         "  state 1: w2 x w2 x w2   prior 0.125\n"
@@ -379,6 +385,7 @@ PINNED_STDOUT = {
         "  state 7: w2 x w4 x w0   prior 0.125\n"
     ),
     ("local", "q3"): (
+        0,
         "ensemble q3 (8 states, 3 parties), priors uniform\n"
         "leader: free\n"
         "success = 0.875\n"
@@ -386,20 +393,40 @@ PINNED_STDOUT = {
         "tree: (p0 m0 (p1 m0 (p2 m0 g0 g2) (p2 m1 g4 g5)) (p2 m0 (p1 m1 g6 g7) (p1 m0 g2 g1)))\n"
     ),
     ("local", "q3", "--measurements", "1"): (
+        0,
         "ensemble q3 (8 states, 3 parties), priors uniform\n"
         "leader: free\n"
         "success = 0.25\n"
         "delta = 0.75\n"
         "tree: (p0 m0 (p1 m0 (p2 m0 g2 g2) (p2 m0 g4 g5)) (p1 m0 (p2 m0 g3 g3) (p2 m0 g7 g3)))\n"
     ),
+    # one constant-row channel here is inside, and only the separation duals certify it
+    ("signal", "--polygon", "5", "--m", "3", "--d", "1"): (
+        1,
+        "polygon n=5: m=3 encodings, binary extremal decodings, d=1\n"
+        "distinct channels: 27 (of 625 generated)\n"
+        "NOT-IN: 24 channel(s) outside, first witness margin 0.7639320225\n"
+        "witness c = 1\n"
+        "  h: 1 -1\n"
+        "  h: 1 -1\n"
+        "  h: -1 1\n",
+    ),
+    ("signal", "--identity", "4", "--d", "2", "--csv"): (
+        1,
+        "identity channel 4x4, d=2\n"
+        "NOT-IN margin 4\n"
+        "witness_h,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1\n"
+        "witness_c,-0\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
 def test_pinned_stdout(capsys, argv):
+    expected_code, expected_out = PINNED_STDOUT[argv]
     code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == PINNED_STDOUT[argv]
+    assert code == expected_code
+    assert out == expected_out
 
 
 GOLDEN_CLI = Path(__file__).parents[1] / "perfbench" / "golden" / "cli.json"

@@ -439,12 +439,11 @@ def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, state
 
 def _inline_walk(arity, adaptive):
     """The walk as ``_bellman`` used to build it on every solve: (here, root, moves) per subset."""
-    cfg = SearchConfig(((),) * arity, adaptive)
     steps = []
     for measured in sorted(range((1 << arity) - 1), key=lambda s: -s.bit_count()):
         rest = tuple(a for a in range(arity) if not measured >> a & 1)
         here = tuple(slice(1, None) if measured >> a & 1 else slice(0, 1) for a in range(arity))
-        movers = _movers(rest, cfg)
+        movers = _movers(rest, adaptive)
         moves = []
         for a in rest if measured == 0 else movers:
             moves.append((a, here[:a] + (slice(1, None),) + here[a + 1 :], a in movers))

@@ -302,34 +302,28 @@ def test_membership_agrees_with_the_two_lp_reference(cases):
     assert outside > 0
 
 
-def _failing_nnls(A, b):
-    return np.zeros(A.shape[1]), float(np.linalg.norm(b))
+def test_separation_duals_certify_every_inside_channel_the_product_weights_miss(monkeypatch):
+    # product weights settle most certify channels; the grid's d < min(m, n) cases need the LP
+    solves, linprog = [], scipy.optimize.linprog
 
+    def counted(*args, **kwargs):
+        solves.append(linprog(*args, **kwargs))
+        return solves[-1]
 
-def _nnls_at_its_iteration_limit(A, b):
-    raise RuntimeError("Maximum number of iterations reached.")
-
-
-@pytest.mark.parametrize("nnls", [_failing_nnls, _nnls_at_its_iteration_limit], ids=["zero weights", "raises"])
-def test_separation_duals_certify_when_nnls_fails(monkeypatch, nnls):
-    # product weights settle most certify channels; the grid's d < min(m, n) cases reach NNLS
-    cases = [*_certify_channels(), *_grid_cases()]
-    expected = [in_classical_polytope(ch, d, vertices).inside for ch, d, vertices in cases]
-    assert sum(expected) > 300
-    calls = []
-
-    def counted(A, b):
-        calls.append(A.shape)
-        return nnls(A, b)
-
-    monkeypatch.setattr(scipy.optimize, "nnls", counted)
-    by_duals = 0
-    for (ch, d, vertices), inside in zip(cases, expected):
-        before = len(calls)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    inside = by_duals = 0
+    for ch, d, vertices in [*_certify_channels(), *_grid_cases()]:
+        before = len(solves)
         result = in_classical_polytope(ch, d, vertices)
-        assert result.inside == inside
+        lps = solves[before:]
+        assert len(lps) <= 1
+        assert result.inside == two_lp_in_classical_polytope(ch, vertices).inside
         _assert_certificate(result, ch, vertices)
-        by_duals += inside and len(calls) > before
+        inside += result.inside
+        if result.inside and lps:  # the weights are the separation LP's duals, bit for bit
+            assert result.weights.tobytes() == (-np.asarray(lps[0].ineqlin.marginals)).tobytes()
+            by_duals += 1
+    assert inside > 300
     assert by_duals > 20
 
 
@@ -343,6 +337,6 @@ def test_product_weights_certify_every_channel_when_symbols_cover_inputs_or_outp
             got = in_classical_polytope(ch, d, vertices)
             assert got.inside and two_lp_in_classical_polytope(ch, vertices).inside
             _assert_certificate(got, ch, vertices)
-            # the weights are w_f = prod_x p(f(x)|x), not an NNLS solution
+            # the weights are w_f = prod_x p(f(x)|x), not the separation duals
             product = [math.prod(ch.rows[x, v.rows[x].argmax()] for x in range(m)) for v in vertices]
             assert_allclose(got.weights, product, rtol=4 * np.finfo(float).eps, atol=0)
