@@ -147,13 +147,14 @@ def _signal_polygon(args) -> int:
     channels = signaling.polygon_channels(sysn, args.m, args.eps)
     print(f"polygon n={args.polygon}: m={args.m} encodings, binary extremal decodings, d={args.d}")
     print(f"distinct channels: {len(channels)} (of {sysn.n ** args.m * len(sysn.extremal_measurements)} generated)")
-    results = [signaling.in_classical_polytope(ch, args.d, vertices) for ch in channels]
-    outside = [result for result in results if not result.inside]
+    outside = [ch for ch in channels if not signaling.in_classical_polytope(ch, args.d, vertices).inside]
     if not outside:
         print("ALL-IN")
         return 0
-    print(f"NOT-IN: {len(outside)} channel(s) outside, first witness margin {_fmt(outside[0].margin)}")
-    _print_witness(outside[0], args.csv)
+    # the closed forms decide every channel; the printed witness is always the separation LP's
+    first = signaling.separation_lp(outside[0], vertices)
+    print(f"NOT-IN: {len(outside)} channel(s) outside, first witness margin {_fmt(first.margin)}")
+    _print_witness(first, args.csv)
     return 1
 
 
@@ -171,13 +172,15 @@ def _print_witness(result, as_csv: bool) -> None:
 def _signal_identity(args) -> int:
     k = args.identity
     ch = signaling.Channel(np.eye(k))
-    result = signaling.in_classical_polytope(ch, args.d)
+    vertices = signaling.classical_vertices(k, k, args.d)
+    result = signaling.in_classical_polytope(ch, args.d, vertices)
     print(f"identity channel {k}x{k}, d={args.d}")
     if result.inside:
         print("IN")
         if args.csv:
             print("weights," + ",".join(_fmt(w) for w in result.weights))
         return 0
+    result = signaling.separation_lp(ch, vertices)
     print(f"NOT-IN margin {_fmt(result.margin)}")
     _print_witness(result, args.csv)
     return 1

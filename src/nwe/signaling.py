@@ -4,10 +4,14 @@ Transmitting an elementary system once induces the channel
 rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
 reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
-encode/decode compositions (input -> one of d symbols -> output).  Product
-weights certify membership when they recompose the channel; otherwise one
-separation LP gives either the witness against membership or, through its
-duals, the convex weights for it.  These are finite (m, n, d)
+encode/decode compositions (input -> one of d symbols -> output).  Closed
+forms decide most channels: product weights recompose every channel when
+d >= min(m, n), column means recompose an equal-row channel when d = 1, and a
+greedy guessing set of d+1 pairs with no shared input or output proves
+exclusion when its probabilities sum above d (Frenkel & Weiner, CMP 340, 563
+(2015)).  Any other channel goes to ``separation_lp``, which gives either the
+witness against membership or, through its duals, the convex weights for it;
+scipy is imported only when it runs.  These are finite (m, n, d)
 certifications only; no claim spans all alphabet sizes.
 """
 
@@ -33,6 +37,7 @@ __all__ = [
     "gpt_channel",
     "in_classical_polytope",
     "polygon_channels",
+    "separation_lp",
 ]
 
 
@@ -111,7 +116,11 @@ class MembershipResult:
 
     ``weights`` are convex coefficients over the vertex list (inside) and
     ``witness`` is a separating pair (h, c) with h.ch > c >= h.v for every
-    vertex v (outside); ``margin`` quantifies whichever certificate applies.
+    vertex v (outside).  ``margin`` quantifies whichever certificate applies:
+    the largest recomposition error of the weights, or the excess h.ch - c.
+    The separation LP bounds |h| <= 1 entrywise and maximizes that excess; a
+    guessing witness has h the 0/1 indicator of d+1 pairs and c = d, so its
+    margin is by how much the guessed probabilities sum above d.
     """
 
     inside: bool
@@ -126,25 +135,77 @@ def _convex_certificate(V, x, weights):
     return MembershipResult(True, weights, None, err) if err <= MEMBERSHIP_TOL else None
 
 
+def _witness_certificate(V, x, h, c):
+    """An outside result if h.x - c exceeds MEMBERSHIP_TOL and h.v <= c for every vertex row v of V, else None."""
+    margin = float(h.ravel() @ x) - c
+    if margin > MEMBERSHIP_TOL and float((V @ h.ravel()).max()) <= c:
+        return MembershipResult(False, None, (h, c), margin)
+    return None
+
+
+def _guessing_set(rows, d):
+    """0/1 indicator of d+1 (x, y) pairs sharing no x and no y, taken greedily from the largest entry down.
+
+    Needs d < min(m, n): each pick uses up one row and one column, so d+1 picks always fit.
+    """
+    h = np.zeros_like(rows)
+    picked_x, picked_y = set(), set()
+    for flat in np.argsort(-rows, axis=None, kind="stable"):
+        x, y = divmod(int(flat), rows.shape[1])
+        if x not in picked_x and y not in picked_y:
+            h[x, y] = 1.0
+            picked_x.add(x)
+            picked_y.add(y)
+            if len(picked_x) > d:
+                break
+    return h
+
+
+def _vertex_matrix(ch: Channel, vertices) -> np.ndarray:
+    """The (K, m*n) matrix of flattened vertices, after checking they all have ch's shape."""
+    if (shapes := {v.rows.shape for v in vertices}) != {ch.rows.shape}:
+        raise ValueError(f"vertex shapes {sorted(shapes)} do not match the channel's shape {ch.rows.shape}")
+    return np.array([v.rows.ravel() for v in vertices])
+
+
 def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
     """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty list of ch's shape).
 
-    Convex weights within MEMBERSHIP_TOL, from the product weights or else the
-    separation LP's duals, certify membership; the LP's separating hyperplane
-    with margin above WITNESS_MARGIN certifies exclusion.  Raises
-    InconclusiveMembership when neither margin is met.
+    The closed forms come first.  Membership is certified by convex weights
+    within MEMBERSHIP_TOL: the product weights, or for d = 1 the column
+    means.  Exclusion is certified by a greedy guessing witness whose margin
+    exceeds MEMBERSHIP_TOL and that every listed vertex satisfies.  Any
+    other channel is decided by ``separation_lp``, which raises
+    InconclusiveMembership when neither of its margins is met.
     """
     if vertices is None:
         vertices = classical_vertices(*ch.rows.shape, d)
-    if (shapes := {v.rows.shape for v in vertices}) != {ch.rows.shape}:
-        raise ValueError(f"vertex shapes {sorted(shapes)} do not match the channel's shape {ch.rows.shape}")
-    V = np.array([v.rows.ravel() for v in vertices])  # (K, m*n)
+    V = _vertex_matrix(ch, vertices)  # (K, m*n)
     x = ch.rows.ravel()
-    K = len(vertices)
     # product weights w_f = prod_x p(f(x)|x) recompose ch when the vertices are every deterministic
     # channel, as for d >= min(m, n) (Ziegler, Lectures on Polytopes); else the certificate decides
-    if inside := _convex_certificate(V, x, (V.reshape(K, *ch.rows.shape) * ch.rows).sum(2).prod(1)):
+    if inside := _convex_certificate(V, x, (V.reshape(len(V), *ch.rows.shape) * ch.rows).sum(2).prod(1)):
         return inside
+    # one symbol sends every input to one output: the constant channels, weighted by the column means
+    if d == 1 and (inside := _convex_certificate(V, x, V @ x / ch.rows.shape[0])):
+        return inside
+    # every vertex guesses at most d of d+1 pairs that share no input and no output
+    if d < min(ch.rows.shape) and (outside := _witness_certificate(V, x, _guessing_set(ch.rows, d), float(d))):
+        return outside
+    return separation_lp(ch, vertices)
+
+
+def separation_lp(ch: Channel, vertices) -> MembershipResult:
+    """Decide membership of ch in the hull of vertices (a nonempty list of ch's shape) by one HiGHS LP.
+
+    Maximizes h.ch - c subject to h.v <= c for every vertex v and |h| <= 1
+    entrywise.  A margin above WITNESS_MARGIN returns that witness; otherwise
+    the row duals, checked by the convex certificate, return the weights.
+    Raises InconclusiveMembership when the solve fails or neither margin is met.
+    """
+    V = _vertex_matrix(ch, vertices)
+    x = ch.rows.ravel()
+    K = len(vertices)
 
     # scipy.optimize takes most of the package's import time; only here is it needed
     from scipy.optimize import linprog

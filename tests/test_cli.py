@@ -418,6 +418,27 @@ PINNED_STDOUT = {
         "witness_h,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1\n"
         "witness_c,-0\n",
     ),
+    # the guessing inequality decides all 726 outside channels; one LP gives the printed witness
+    ("signal", "--polygon", "5", "--m", "6", "--d", "1"): (
+        1,
+        "polygon n=5: m=6 encodings, binary extremal decodings, d=1\n"
+        "distinct channels: 729 (of 78125 generated)\n"
+        "NOT-IN: 726 channel(s) outside, first witness margin 0.7639320225\n"
+        "witness c = 4\n"
+        "  h: 1 -1\n"
+        "  h: 1 -1\n"
+        "  h: 1 -1\n"
+        "  h: 1 -1\n"
+        "  h: 1 -1\n"
+        "  h: -1 1\n",
+    ),
+    ("signal", "--identity", "3", "--d", "1", "--csv"): (
+        1,
+        "identity channel 3x3, d=1\n"
+        "NOT-IN margin 4\n"
+        "witness_h,1,-1,-1,-1,1,-1,-1,-1,1\n"
+        "witness_c,-1\n",
+    ),
 }
 
 
@@ -445,6 +466,33 @@ GOLDEN_COMMANDS = (
     ("signal", "--polygon", "7", "--m", "4", "--n", "2", "--d", "3"),
     ("curve", "0.1", "0.4", "3", "{out}"),
 )
+
+
+@pytest.mark.parametrize(
+    "argv, lps",
+    [
+        *((argv, expected[0]) for argv, expected in PINNED_STDOUT.items() if argv[0] == "signal"),
+        *((argv, 0) for argv in GOLDEN_COMMANDS if argv[:2] == ("signal", "--polygon")),  # ALL-IN
+        (("signal", "--identity", "3", "--d", "2"), 1),
+        (("signal", "--identity", "2", "--d", "2"), 0),  # IN
+        (("signal", "--identity", "3", "--d", "3", "--csv"), 0),
+        (("signal", "--identity", "5", "--d", "1"), 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_signal_solves_one_lp_exactly_when_not_in(capsys, monkeypatch, argv, lps):
+    import scipy.optimize
+
+    solves, linprog = [], scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        solves.append(linprog(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == lps == ("NOT-IN" in out)
+    assert len(solves) == lps
 
 
 def _golden_key(argv):

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from numpy.testing import assert_allclose
 
+import nwe
+from nwe import signaling
 from nwe.signaling import (
     MEMBERSHIP_TOL,
     VERTEX_ENUMERATION_BOUND,
@@ -17,6 +22,7 @@ from nwe.signaling import (
     gpt_channel,
     in_classical_polytope,
     polygon_channels,
+    separation_lp,
 )
 from nwe.systems import ProbabilityBoundError, make_polygon, prob
 
@@ -281,7 +287,10 @@ def _certify_channels():
 
 def _grid_cases():
     rng = np.random.default_rng(12)
-    for m, n, d in [(2, 2, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (4, 2, 3), (3, 3, 3)]:
+    for m, n, d in [
+        *((2, 2, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (4, 2, 3), (3, 3, 3)),
+        *((4, 3, 2), (3, 4, 2), (4, 4, 3), (4, 4, 2)),  # 2 <= d < min(m, n): inside channels only the duals certify
+    ]:
         vertices = classical_vertices(m, n, d)
         yield from ((ch, d, vertices) for ch in _grid_channels(rng, vertices, m, n))
 
@@ -294,16 +303,19 @@ def test_membership_agrees_with_the_two_lp_reference(cases):
         want = two_lp_in_classical_polytope(ch, vertices)
         assert got.inside == want.inside
         _assert_certificate(got, ch, vertices)
-        if not got.inside:  # the same separation LP: the witness is bit for bit the reference's
+        if not got.inside:  # the same separation LP: its witness is bit for bit the reference's
             outside += 1
-            assert got.margin == want.margin
-            assert got.witness[1] == want.witness[1]
-            assert got.witness[0].tobytes() == want.witness[0].tobytes()
+            lp = separation_lp(ch, vertices)
+            assert lp.margin == want.margin
+            assert lp.witness[1] == want.witness[1]
+            assert lp.witness[0].tobytes() == want.witness[0].tobytes()
     assert outside > 0
 
 
 def test_separation_duals_certify_every_inside_channel_the_product_weights_miss(monkeypatch):
-    # product weights settle most certify channels; the grid's d < min(m, n) cases need the LP
+    # closed forms settle every certify channel; the grid's 2 <= d < min(m, n) cases need the LP
+    import scipy.optimize
+
     solves, linprog = [], scipy.optimize.linprog
 
     def counted(*args, **kwargs):
@@ -325,6 +337,85 @@ def test_separation_duals_certify_every_inside_channel_the_product_weights_miss(
             by_duals += 1
     assert inside > 300
     assert by_duals > 20
+
+
+def _no_lp(ch, vertices):
+    raise AssertionError("the separation LP ran")
+
+
+def test_every_vertex_satisfies_each_greedy_guessing_inequality():
+    checked = 0
+    for ch, d, vertices in _grid_cases():
+        m, n = ch.rows.shape
+        if d >= min(m, n):
+            continue
+        h = signaling._guessing_set(ch.rows, d)
+        # d+1 pairs, no two sharing an input or an output
+        assert h.sum() == d + 1 and h.sum(axis=0).max() == 1 and h.sum(axis=1).max() == 1
+        V = np.array([v.rows.ravel() for v in vertices])
+        assert (V @ h.ravel()).max() <= d
+        checked += 1
+    assert checked > 50
+
+
+def test_guessing_witness_decides_without_the_lp(monkeypatch):
+    monkeypatch.setattr(signaling, "separation_lp", _no_lp)
+    for k, d in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
+        result = in_classical_polytope(Channel(np.eye(k)), d)
+        assert not result.inside
+        h, c = result.witness
+        assert np.array_equal(h, np.diag([1.0] * (d + 1) + [0.0] * (k - d - 1))) and c == d  # the first d+1 diagonal pairs
+        assert result.margin == 1.0  # d+1 certain guesses against at most d
+    # two unequal binary rows: the greedy pair sums to 1 + (max - min) of a column
+    result = in_classical_polytope(Channel(np.array([[0.9, 0.1], [0.25, 0.75], [0.5, 0.5]])), 1)
+    assert not result.inside and result.margin == pytest.approx(0.65, abs=1e-15)
+
+
+def test_a_channel_the_greedy_set_misses_gets_the_separation_lp_result():
+    ch = Channel(np.array([[1 / 3, 1 / 3, 1 / 3], [0.3, 0.3, 0.4]]))
+    h = signaling._guessing_set(ch.rows, 1)
+    assert float((h * ch.rows).sum()) <= 1.0  # the greedy pairs (1, 2) and (0, 0) prove nothing
+    vertices = classical_vertices(2, 3, 1)
+    got, lp = in_classical_polytope(ch, 1, vertices), separation_lp(ch, vertices)
+    assert not got.inside and not lp.inside
+    assert got.margin == lp.margin
+    assert got.witness[1] == lp.witness[1]
+    assert got.witness[0].tobytes() == lp.witness[0].tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2), (3, 5)])
+def test_column_means_recompose_equal_row_channels_for_one_symbol(monkeypatch, m, n):
+    monkeypatch.setattr(signaling, "separation_lp", _no_lp)
+    rng = np.random.default_rng(100 * m + n)
+    vertices = classical_vertices(m, n, 1)
+    for row in [np.eye(n)[0], np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), size=4)]:
+        ch = Channel(np.tile(row, (m, 1)))
+        result = in_classical_polytope(ch, 1, vertices)
+        assert result.inside
+        _assert_certificate(result, ch, vertices)
+        # the constant channels are the n one-hot rows, in output order; the weights are the row
+        assert_allclose(result.weights, row, rtol=0, atol=4 * np.finfo(float).eps)
+
+
+def test_certify_channels_are_decided_without_importing_scipy_optimize():
+    script = "\n".join(
+        [
+            "import sys",
+            "from test_signaling import _certify_channels",
+            "from nwe.signaling import in_classical_polytope",
+            "assert 'scipy.optimize' not in sys.modules",
+            "results = [in_classical_polytope(ch, d, vertices) for ch, d, vertices in _certify_channels()]",
+            "assert 'scipy.optimize' not in sys.modules, 'a separation LP ran'",
+            "print(len(results), sum(r.inside for r in results))",
+        ]
+    )
+    path = os.pathsep.join([str(Path(nwe.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    total, inside = map(int, done.stdout.split())
+    assert total == sum(1 for _ in _certify_channels()) and 0 < inside < total
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
