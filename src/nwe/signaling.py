@@ -4,7 +4,11 @@ Transmitting an elementary system once induces the channel
 rows[x, y] = p(decoding effect y | encoding state x); ``polygon_channels``
 reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
-encode/decode compositions (input -> one of d symbols -> output).  Closed
+encode/decode compositions (input -> one of d symbols -> output), built as
+one read-only (K, m, n) 0/1 stack and checked once; ``in_classical_polytope``
+tests a channel against that stack directly.  The channels that
+``classical_vertices`` and ``polygon_channels`` return have read-only rows,
+each a view of one checked stack.  Closed
 forms decide most channels: product weights recompose every channel when
 d >= min(m, n), column means recompose an equal-row channel when d = 1, and a
 greedy guessing set of d+1 pairs with no shared input or output proves
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, likelihoods, require_complete
+from .systems import COMPLETENESS_TOL, DEFAULT_EPS, GptSystem, _frozen, likelihoods, require_complete
 
 VERTEX_ENUMERATION_BOUND = 100_000
 MEMBERSHIP_TOL = 1e-7
@@ -58,13 +62,37 @@ class Channel:
     def __post_init__(self):
         rows = np.ascontiguousarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or rows.size == 0:
-            raise ValueError("channel needs a nonempty 2-D row matrix")
-        # written so that NaN fails: min and max propagate it, and every comparison with NaN is False
-        if not rows.min() >= -COMPLETENESS_TOL:
-            raise ValueError("channel rows must be nonnegative")
-        if not np.abs(rows.sum(axis=1) - 1.0).max() <= COMPLETENESS_TOL:
-            raise ValueError("channel rows must each sum to 1")
+        _require_stochastic(rows, 2)
+
+
+def _require_stochastic(rows: np.ndarray, ndim: int) -> None:
+    """Raise ValueError unless rows is a nonempty ndim-D array of stochastic rows: one channel (2) or a stack (3)."""
+    if rows.ndim != ndim or rows.size == 0:
+        raise ValueError("channel needs a nonempty 2-D row matrix")
+    # written so that NaN fails: min and max propagate it, and every comparison with NaN is False
+    if not rows.min() >= -COMPLETENESS_TOL:
+        raise ValueError("channel rows must be nonnegative")
+    if not np.abs(rows.sum(axis=-1) - 1.0).max() <= COMPLETENESS_TOL:
+        raise ValueError("channel rows must each sum to 1")
+
+
+def _channels(stack: np.ndarray) -> list:
+    """One Channel per slice of a new (K, m, n) float stack, checked once as a whole; rows are read-only views."""
+    _require_stochastic(stack, 3)
+    _frozen(stack)
+    channels = []
+    for rows in stack:
+        ch = object.__new__(Channel)  # the whole stack is checked, so no slice is checked again
+        object.__setattr__(ch, "rows", rows)
+        channels.append(ch)
+    return channels
+
+
+def _require_sizes(**sizes) -> None:
+    """Raise ValueError naming the first size below 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
 
 
 def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -> Channel:
@@ -78,8 +106,10 @@ def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
 
     Each is kept where its entries, rounded to 12 decimals, first occur in the order
     encodings (``itertools.product``) x measurements; above VERTEX_ENUMERATION_BOUND
-    channels, VertexBoundError is raised before anything is built.
+    channels, VertexBoundError is raised before anything is built.  The channels'
+    rows are read-only.
     """
+    _require_sizes(m=m)
     count = len(sys.extremal_measurements)
     # n >= 3, so capping the exponent keeps the power small and the comparison exact
     if sys.n ** min(m, 64) * count > VERTEX_ENUMERATION_BOUND:
@@ -93,11 +123,17 @@ def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
     first = {}  # keyed on bytes: comparing values would merge -0.0 with 0.0
     for i, rows in enumerate(np.round(generated, 12)):
         first.setdefault(rows.tobytes(), i)
-    return [Channel(rows) for rows in generated[list(first.values())]]
+    return _channels(generated[list(first.values())])
 
 
 def classical_vertices(m: int, n: int, d: int) -> list:
-    """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order."""
+    """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order (read-only rows)."""
+    return _channels(_vertex_stack(m, n, d))
+
+
+def _vertex_stack(m: int, n: int, d: int) -> np.ndarray:
+    """The read-only (K, m, n) 0/1 stack of ``classical_vertices``, built without a Channel."""
+    _require_sizes(m=m, n=n, d=d)
     # capped exponents keep the powers small: a base of 1 stays 1, any larger base exceeds the bound
     if d ** min(m, 64) * n ** min(d, 64) > VERTEX_ENUMERATION_BOUND:
         raise VertexBoundError(f"{d}^{m} * {n}^{d} exceeds bound {VERTEX_ENUMERATION_BOUND}")
@@ -107,7 +143,7 @@ def classical_vertices(m: int, n: int, d: int) -> list:
         for encode in itertools.product(range(d), repeat=m)
         for decode in itertools.product(range(n), repeat=d)
     )
-    return [Channel(rows) for rows in np.eye(n)[list(compositions)]]
+    return _frozen(np.eye(n)[list(compositions)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +215,14 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
     InconclusiveMembership when neither of its margins is met.
     """
     if vertices is None:
-        vertices = classical_vertices(*ch.rows.shape, d)
-    V = _vertex_matrix(ch, vertices)  # (K, m*n)
+        stack = _vertex_stack(*ch.rows.shape, d)
+    else:
+        stack = _vertex_matrix(ch, vertices).reshape(-1, *ch.rows.shape)
+    V = stack.reshape(len(stack), -1)  # (K, m*n)
     x = ch.rows.ravel()
     # product weights w_f = prod_x p(f(x)|x) recompose ch when the vertices are every deterministic
     # channel, as for d >= min(m, n) (Ziegler, Lectures on Polytopes); else the certificate decides
-    if inside := _convex_certificate(V, x, (V.reshape(len(V), *ch.rows.shape) * ch.rows).sum(2).prod(1)):
+    if inside := _convex_certificate(V, x, (stack * ch.rows).sum(2).prod(1)):
         return inside
     # one symbol sends every input to one output: the constant channels, weighted by the column means
     if d == 1 and (inside := _convex_certificate(V, x, V @ x / ch.rows.shape[0])):
@@ -192,7 +230,7 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
     # every vertex guesses at most d of d+1 pairs that share no input and no output
     if d < min(ch.rows.shape) and (outside := _witness_certificate(V, x, _guessing_set(ch.rows, d), float(d))):
         return outside
-    return separation_lp(ch, vertices)
+    return _separate(ch, V)
 
 
 def separation_lp(ch: Channel, vertices) -> MembershipResult:
@@ -203,9 +241,13 @@ def separation_lp(ch: Channel, vertices) -> MembershipResult:
     the row duals, checked by the convex certificate, return the weights.
     Raises InconclusiveMembership when the solve fails or neither margin is met.
     """
-    V = _vertex_matrix(ch, vertices)
+    return _separate(ch, _vertex_matrix(ch, vertices))
+
+
+def _separate(ch: Channel, V: np.ndarray) -> MembershipResult:
+    """The body of ``separation_lp``, given the (K, m*n) vertex matrix."""
     x = ch.rows.ravel()
-    K = len(vertices)
+    K = len(V)
 
     # scipy.optimize takes most of the package's import time; only here is it needed
     from scipy.optimize import linprog

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,12 +30,27 @@ from nwe.systems import ProbabilityBoundError, make_polygon, prob
 from _oracles import DeterministicStrategy, per_channel_polygon_channels, two_lp_in_classical_polytope
 
 
+def _refusals(bad):
+    """The ValueError messages of Channel(bad) and of a 2-stack holding a valid matrix and bad."""
+    valid = np.full(np.shape(bad), 1.0 / np.shape(bad)[-1])
+    messages = []
+    for build in (Channel, lambda rows: signaling._channels(np.stack([valid, rows]))):
+        with pytest.raises(ValueError) as refused:
+            build(np.array(bad))
+        messages.append(str(refused.value))
+    return messages
+
+
 def test_channel_validation():
     Channel(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Channel(np.array([[0.5, 0.4], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Channel(np.array([[-0.1, 1.1], [1.0, 0.0]]))
+    signaling._channels(np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.25, 0.75]]]))
+    for bad, message in [
+        ([[0.5, 0.4], [1.0, 0.0]], "channel rows must each sum to 1"),
+        ([[-0.1, 1.1], [1.0, 0.0]], "channel rows must be nonnegative"),
+        (np.zeros((0, 2)), "channel needs a nonempty 2-D row matrix"),
+    ]:
+        # one rule: a single channel and a stack are refused with the same message
+        assert _refusals(bad) == [message, message]
 
 
 @pytest.mark.parametrize(
@@ -49,8 +65,43 @@ def test_channel_validation():
 )
 def test_channel_rejects_non_finite_rows(row, message):
     # NaN compares False both ways, so a rule written as "fail if below" let it through
-    with pytest.raises(ValueError, match=f"channel rows must (be|each) {message}"):
-        Channel(np.array([row, [0.5, 0.5]]))
+    single, stacked = _refusals([row, [0.5, 0.5]])
+    assert single == stacked
+    assert re.fullmatch(f"channel rows must (be|each) {message}", single)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [lambda: classical_vertices(3, 3, 2), lambda: polygon_channels(make_polygon(5), 2)],
+    ids=["classical_vertices", "polygon_channels"],
+)
+def test_listed_channel_rows_are_read_only_views_of_one_stack(channels):
+    listed = channels()
+    base = listed[0].rows.base
+    for ch in listed:
+        assert ch.rows.base is base
+        with pytest.raises(ValueError, match="read-only"):
+            ch.rows[0, 0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: classical_vertices(0, 2, 2), "m"),
+        (lambda: classical_vertices(3, 0, 2), "n"),
+        (lambda: classical_vertices(3, 2, 0), "d"),
+        (lambda: classical_vertices(-1, 10, 10), "m"),  # refused before the bound, which 10^10 would exceed
+        (lambda: signaling._vertex_stack(2, -3, 2), "n"),
+        (lambda: polygon_channels(make_polygon(5), 0), "m"),
+        (lambda: polygon_channels(make_polygon(5), -2), "m"),
+        (lambda: in_classical_polytope(Channel(np.eye(3)), 0), "d"),
+    ],
+    ids=["m0", "n0", "d0", "m-1-before-bound", "stack-n-3", "polygon-m0", "polygon-m-2", "member-d0"],
+)
+def test_sizes_below_one_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got -?[0-9]+$") as refused:
+        build()
+    assert not isinstance(refused.value, VertexBoundError)
 
 
 def test_deterministic_strategy_channel():
@@ -339,7 +390,7 @@ def test_separation_duals_certify_every_inside_channel_the_product_weights_miss(
     assert by_duals > 20
 
 
-def _no_lp(ch, vertices):
+def _no_lp(ch, V):
     raise AssertionError("the separation LP ran")
 
 
@@ -359,7 +410,7 @@ def test_every_vertex_satisfies_each_greedy_guessing_inequality():
 
 
 def test_guessing_witness_decides_without_the_lp(monkeypatch):
-    monkeypatch.setattr(signaling, "separation_lp", _no_lp)
+    monkeypatch.setattr(signaling, "_separate", _no_lp)
     for k, d in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
         result = in_classical_polytope(Channel(np.eye(k)), d)
         assert not result.inside
@@ -371,8 +422,13 @@ def test_guessing_witness_decides_without_the_lp(monkeypatch):
     assert not result.inside and result.margin == pytest.approx(0.65, abs=1e-15)
 
 
+def _greedy_miss():
+    """A d = 1 channel outside the polytope whose greedy guessing set proves nothing."""
+    return Channel(np.array([[1 / 3, 1 / 3, 1 / 3], [0.3, 0.3, 0.4]]))
+
+
 def test_a_channel_the_greedy_set_misses_gets_the_separation_lp_result():
-    ch = Channel(np.array([[1 / 3, 1 / 3, 1 / 3], [0.3, 0.3, 0.4]]))
+    ch = _greedy_miss()
     h = signaling._guessing_set(ch.rows, 1)
     assert float((h * ch.rows).sum()) <= 1.0  # the greedy pairs (1, 2) and (0, 0) prove nothing
     vertices = classical_vertices(2, 3, 1)
@@ -383,9 +439,30 @@ def test_a_channel_the_greedy_set_misses_gets_the_separation_lp_result():
     assert got.witness[0].tobytes() == lp.witness[0].tobytes()
 
 
+def _assert_same_result(got, want):
+    """Equal decisions, margins, weights and witnesses, bit for bit."""
+    assert got.inside == want.inside and got.margin == want.margin
+    assert (got.weights is None) == (want.weights is None) and (got.witness is None) == (want.witness is None)
+    if got.weights is not None:
+        assert np.array_equal(got.weights, want.weights) and got.weights.tobytes() == want.weights.tobytes()
+    if got.witness is not None:
+        for a, b in zip(got.witness, want.witness):
+            assert np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_membership_is_the_same_with_and_without_a_vertex_list():
+    cases = [*_grid_cases(), *_certify_channels(), (_greedy_miss(), 1, None)]
+    for ch, d, _ in cases:
+        m, n = ch.rows.shape
+        _assert_same_result(in_classical_polytope(ch, d), in_classical_polytope(ch, d, classical_vertices(m, n, d)))
+    # the LP fallback runs the same body on the stack as separation_lp on the list
+    ch = _greedy_miss()
+    _assert_same_result(in_classical_polytope(ch, 1), separation_lp(ch, classical_vertices(2, 3, 1)))
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2), (3, 5)])
 def test_column_means_recompose_equal_row_channels_for_one_symbol(monkeypatch, m, n):
-    monkeypatch.setattr(signaling, "separation_lp", _no_lp)
+    monkeypatch.setattr(signaling, "_separate", _no_lp)
     rng = np.random.default_rng(100 * m + n)
     vertices = classical_vertices(m, n, 1)
     for row in [np.eye(n)[0], np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), size=4)]:
