@@ -26,7 +26,7 @@ multiplied in party order.  Walking subsets by decreasing size, each entry
 with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
 is then rebuilt top-down from the finished tensor.  The sums go through
-each party's outcome slots, worked out once per solve: for each outcome
+each party's outcome slots, worked out once per config: for each outcome
 position o, the measurements that have an o-th outcome and those outcomes'
 table rows, as basic slices when evenly spaced (always, when every
 measurement has the same number of outcomes).  The same slots sum each
@@ -58,8 +58,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +144,39 @@ class SearchConfig:
 
     def node(self, party: int, measurement: int, children) -> Node:
         """Convenience constructor wiring a tree node to this config's effects."""
-        effects = tuple(self.measurements[party][measurement])
-        return Node(party, measurement, effects, tuple(children))
+        prepared = self._prepared[party]
+        if prepared is None:  # a config _tables refuses; its nodes still carry their effects
+            return Node(party, measurement, tuple(self.measurements[party][measurement]), tuple(children))
+        return Node(party, measurement, prepared.outcomes[measurement], tuple(children))
+
+    @cached_property
+    def _prepared(self) -> tuple:
+        """Each party's ``_Party``, worked out on first use; None for a party with no
+        measurements or with a measurement of no outcomes, which ``_tables`` refuses."""
+        parties = []
+        for per in self.measurements:
+            counts = [len(m) for m in per]
+            if not per or 0 in counts:
+                parties.append(None)
+                continue
+            # offsets[mi] = position of measurement mi's first outcome among the table rows 1..J
+            offsets = list(accumulate(counts[:-1], initial=0))
+            slots = _outcome_slots(counts, offsets)
+            effects = _frozen(np.concatenate(per))[0]
+            sums = _frozen(_outcome_sums(effects, slots))[0]
+            spans = tuple(range(1 + lo, 1 + lo + n) for lo, n in zip(offsets, counts))
+            parties.append(_Party(effects, slots, sums, spans, tuple(tuple(m) for m in per)))
+        return tuple(parties)
+
+
+class _Party(NamedTuple):
+    """One party's measurements, prepared once per config; every array is read-only."""
+
+    effects: np.ndarray  # every measurement's effects, concatenated: table rows 1..J
+    slots: list  # ``_outcome_slots`` of the measurements
+    sums: np.ndarray  # per measurement, its effects added in outcome order
+    spans: tuple  # per measurement, the range of its outcomes' table rows
+    outcomes: tuple  # per measurement, the tuple of its effect vectors (``Node.effects``)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +200,16 @@ def confusion_matrix(M: SeparableMeasurement, ens) -> np.ndarray:
 
 
 def eval_tree(tree, ens) -> float:
-    """Success probability of an explicit protocol tree on an ensemble."""
+    """Success probability of an explicit protocol tree on an ensemble.
+
+    Nodes that share one effects object at one party (as the nodes of one
+    config do) are checked and tabled once per call.
+    """
     arity = ens.composite.arity
     factors = [_factors(ens, p) for p in range(arity)]
+    # (party, id of the effects) -> (the effects, their checked likelihood table); holding
+    # the effects keeps their id from being reused by another tuple during this call
+    seen = {}
 
     def walk(node, weights, used) -> float:
         if isinstance(node, Leaf):
@@ -185,10 +224,13 @@ def eval_tree(tree, ens) -> float:
             raise MalformedTreeError(f"party {node.party} measures twice on one path")
         if len(node.children) != len(node.effects):
             raise MalformedTreeError("one child per measurement outcome required")
-        unit = ens.composite.parts[node.party].unit_effect
-        require_complete(node.effects, unit, f"measurement at party {node.party}")
+        key = (node.party, id(node.effects))
+        if key not in seen:
+            unit = ens.composite.parts[node.party].unit_effect
+            require_complete(node.effects, unit, f"measurement at party {node.party}")
+            seen[key] = node.effects, likelihoods(node.effects, factors[node.party])
         total = 0.0
-        for lik, child in zip(likelihoods(node.effects, factors[node.party]), node.children):
+        for lik, child in zip(seen[key][1], node.children):
             total += walk(child, weights * lik, used | {node.party})
         return total
 
@@ -202,27 +244,28 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    tables, offsets, slots = _tables(ens, cfg, leader)
+    tables, slots = _tables(ens, cfg, leader)
     values = _leaf_values(ens.priors[None], tables)[..., 0]
     by_leader = _bellman(values, slots, cfg)
+    parties = cfg._prepared
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
-            return Leaf(int(np.argmax(weights)))
+            return Leaf(int(weights.argmax()))
         best_value = -1.0
         for a in _movers(remaining, cfg.adaptive, leader if len(remaining) == arity else None):
-            along = values[index[:a] + (slice(1, None),) + index[a + 1 :]].tolist()
-            for mi, meas in enumerate(cfg.measurements[a]):
+            along = values[index[:a] + (slice(None),) + index[a + 1 :]].tolist()
+            for mi, span in enumerate(parties[a].spans):
                 total = 0.0
-                for o in range(len(meas)):
-                    total += along[offsets[a][mi] + o]
+                for r in span:
+                    total += along[r]
                 if total > best_value:
                     best_value, choice = total, (a, mi)
         a, mi = choice
         rest = tuple(x for x in remaining if x != a)
-        rows = range(1 + offsets[a][mi], 1 + offsets[a][mi] + len(cfg.measurements[a][mi]))
+        rows = parties[a].spans[mi]
         children = [build(index[:a] + (r,) + index[a + 1 :], rest, weights * tables[a][r]) for r in rows]
-        return cfg.node(a, mi, children)
+        return Node(a, mi, parties[a].outcomes[mi], tuple(children))
 
     root = (0,) * arity
     tree = build(root, tuple(range(arity)), ens.priors)
@@ -238,7 +281,7 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
     likelihood tables are built once, and each block of rows is one lattice
     solve with a trailing prior axis.
     """
-    tables, _, slots = _tables(ens, cfg, None)
+    tables, slots = _tables(ens, cfg, None)
     return _solve_rows(tables, slots, cfg, priors)
 
 
@@ -256,14 +299,13 @@ def _solve_rows(tables, slots, cfg: SearchConfig, priors) -> list:
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots)."""
+    """Validate, then build each party's read-only likelihood table: (tables, slots)."""
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
     if len(cfg.measurements) != arity:
         raise ValueError("one measurement list per party required")
-    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
-    offsets, slots, effects = [], [], []
+    parties = cfg._prepared
     for p, per in enumerate(cfg.measurements):
         if not per:
             raise ValueError(f"party {p} has no allowed measurements")
@@ -275,18 +317,14 @@ def _tables(ens, cfg: SearchConfig, leader):
         counts = [len(m) for m in per]
         if 0 in counts:  # no outcomes, so no row of the sums below; its sum is zero
             require_complete(per[counts.index(0)], unit, what)
-        offsets.append(list(accumulate(counts[:-1], initial=0)))
-        slots.append(_outcome_slots(counts, offsets[-1]))
-        effects.append(np.concatenate(per))
         # one stacked outcome whose rows are each measurement's effects added in outcome order
-        require_complete(_outcome_sums(effects[-1], slots[-1])[None], unit, what)
+        require_complete(parties[p].sums[None], unit, what)
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    tables = _frozen(
-        *(np.vstack([np.ones(ens.size), likelihoods(e, _factors(ens, p))]) for p, e in enumerate(effects))
-    )
-    return tables, offsets, slots
+    rows = (likelihoods(party.effects, _factors(ens, p)) for p, party in enumerate(parties))
+    tables = _frozen(*(np.vstack([np.ones(ens.size), lik]) for lik in rows))
+    return tables, [party.slots for party in parties]
 
 
 def _outcome_slots(counts, offsets) -> list:

@@ -13,10 +13,12 @@ feasibility LP before the separation LP, and the
 measurement search filters its candidates with scalar ``prob`` and
 ``product_prob`` calls.  Apart from ``gpt_channel``, which reads one small
 table per channel, likelihoods come from scalar ``prob`` calls, not from
-``systems.likelihoods``.  The one exception to the first sentence is
-``gather_bellman``: the lattice's Bellman pass as it was written with
+``systems.likelihoods``.  The two exceptions to the first sentence are
+``gather_bellman``, the lattice's Bellman pass as it was written with
 fancy-index gathers, the reference for the order in which the optimizer
-adds a measurement's outcomes.
+adds a measurement's outcomes; and ``rebuilt_optimal_local``, which runs
+the library's lattice and rebuilds the tree as the optimizer first did,
+re-reading every measurement from the config, the reference for its tree.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import numpy as np
 import nwe
 from nwe.catalog import Q3_ANGLES, SearchSpaceTooLarge, _party_candidates
 from nwe.composition import ProductEffect, SeparableMeasurement, kron
-from nwe.discrimination import DiscriminationReport, Leaf, _movers
+from nwe.discrimination import DiscriminationReport, Leaf, Node, _bellman, _leaf_values, _movers, _tables
 from nwe.quantum import grouping
 from nwe.signaling import (
     MEMBERSHIP_TOL,
@@ -176,6 +178,11 @@ def mixed_outcome_instance(rng, arity=2, max_measurements=2, max_states=6):
     return ens, nwe.SearchConfig(tuple(per_party))
 
 
+def outcome_offsets(cfg):
+    """offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J."""
+    return [list(itertools.accumulate([len(m) for m in per][:-1], initial=0)) for per in cfg.measurements]
+
+
 def gather_bellman(values, offsets, cfg):
     """The lattice's Bellman pass with one fancy-index gather and scatter per outcome position.
 
@@ -206,6 +213,45 @@ def gather_bellman(values, offsets, cfg):
                 best = value if best is None else np.maximum(best, value)
         values[here] = best
     return tuple(by_leader)
+
+
+def rebuilt_optimal_local(ens, cfg, leader=None):
+    """``optimal_local`` with the top-down tree rebuild as it was first written.
+
+    The lattice is the library's (``_tables``, ``_leaf_values`` and
+    ``_bellman``).  The rebuild works out each measurement's outcome count
+    and first table row from ``cfg.measurements`` at every node, re-sums the
+    candidates' outcomes left to right, keeps a later candidate only when it
+    is strictly larger, and gives each node a fresh tuple of its effect rows.
+    """
+    arity = ens.composite.arity
+    tables, slots = _tables(ens, cfg, leader)
+    values = _leaf_values(ens.priors[None], tables)[..., 0]
+    by_leader = _bellman(values, slots, cfg)
+    offsets = outcome_offsets(cfg)
+
+    def build(index, remaining, weights):
+        if not remaining or not weights.any():
+            return Leaf(int(np.argmax(weights)))
+        best_value = -1.0
+        for a in _movers(remaining, cfg.adaptive, leader if len(remaining) == arity else None):
+            along = values[index[:a] + (slice(1, None),) + index[a + 1 :]].tolist()
+            for mi, meas in enumerate(cfg.measurements[a]):
+                total = 0.0
+                for o in range(len(meas)):
+                    total += along[offsets[a][mi] + o]
+                if total > best_value:
+                    best_value, choice = total, (a, mi)
+        a, mi = choice
+        rest = tuple(x for x in remaining if x != a)
+        rows = range(1 + offsets[a][mi], 1 + offsets[a][mi] + len(cfg.measurements[a][mi]))
+        children = [build(index[:a] + (r,) + index[a + 1 :], rest, weights * tables[a][r]) for r in rows]
+        return Node(a, mi, tuple(cfg.measurements[a][mi]), tuple(children))
+
+    root = (0,) * arity
+    tree = build(root, tuple(range(arity)), ens.priors)
+    success = float(values[root] if leader is None else by_leader[leader][0])
+    return DiscriminationReport(success, 1.0 - success, tree, leader)
 
 
 def simulate_tree(tree, ens, n_samples, rng):

@@ -57,8 +57,10 @@ from _oracles import (
     gather_bellman,
     likelihood_tables,
     mixed_outcome_instance,
+    outcome_offsets,
     product_prob,
     random_instance,
+    rebuilt_optimal_local,
     recursive_optimal_local,
     simulate_tree,
 )
@@ -172,6 +174,48 @@ def test_eval_tree_rejects_malformed_trees():
     incomplete = nwe.Node(0, 0, (sq.effect(0), sq.effect(1)), (Leaf(0), Leaf(1)))
     with pytest.raises(ValueError):
         eval_tree(incomplete, ens)
+
+
+def _fresh_copy(tree):
+    """The tree with every node's effects copied into a new tuple of new arrays."""
+    if isinstance(tree, Leaf):
+        return tree
+    effects = tuple(np.array(e) for e in tree.effects)
+    return nwe.Node(tree.party, tree.measurement, effects, tuple(map(_fresh_copy, tree.children)))
+
+
+def test_eval_tree_builds_one_table_per_distinct_measurement(monkeypatch):
+    ens = load("s5")
+    tree = optimal_local(ens, SearchConfig.for_ensemble(ens)).tree  # 7 nodes, 5 distinct (party, measurement)
+    unpatched = eval_tree(tree, ens)
+    calls = []
+
+    def counted(effects, states):
+        calls.append(effects)
+        return nwe.systems.likelihoods(effects, states)
+
+    monkeypatch.setattr(discrimination, "likelihoods", counted)
+    assert eval_tree(tree, ens) == unpatched
+    assert len(calls) == 5
+    calls.clear()
+    assert eval_tree(_fresh_copy(tree), ens) == unpatched  # bit for bit
+    assert len(calls) == 7
+
+
+def test_eval_tree_refuses_an_incomplete_measurement_it_meets_twice():
+    ens = load("s5")
+    penta = ens.composite.parts[0]
+    incomplete = (penta.effect(0), penta.effect(1))
+    tree = nwe.Node(
+        0,
+        0,
+        tuple(penta.measurement(0)),
+        (nwe.Node(1, 0, incomplete, (Leaf(0), Leaf(1))), nwe.Node(1, 0, incomplete, (Leaf(2), Leaf(3)))),
+    )
+    message = "incomplete measurement at party 1: effects do not sum to the unit"
+    for _ in range(2):  # nothing is remembered between calls
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_tree(tree, ens)
 
 
 def test_pentagon_optimum_with_all_measurements():
@@ -389,6 +433,51 @@ def test_lattice_reproduces_recursion_trees_on_catalog(cid, variant):
         assert report.success == pytest.approx(oracle.success, abs=1e-12)
 
 
+def _assert_same_report(report, reference):
+    """Equal success bits and trees: the same rendering and, node by node, the same effect values."""
+    assert report.success == reference.success
+    assert tree_to_text(report.tree) == tree_to_text(reference.tree)
+    pending = [(report.tree, reference.tree)]
+    while pending:
+        ours, theirs = pending.pop()
+        if isinstance(ours, Leaf):
+            continue
+        assert len(ours.effects) == len(theirs.effects)
+        assert all(np.array_equal(e, f) for e, f in zip(ours.effects, theirs.effects))
+        pending.extend(zip(ours.children, theirs.children))
+
+
+@pytest.mark.parametrize("cid", ["s4", "s5", "s6", "s7", "q3"])
+def test_rebuild_equals_the_reference_rebuild_on_the_catalog(cid):
+    base = load(cid)
+    if base.size == 8:
+        grid = [biased(float(p)).weights(8) for p in np.linspace(0.01, 0.49, 49)]
+    else:  # biased priors need eight states; s4 takes seeded random rows instead
+        grid = _random_priors(np.random.default_rng(25), base, 49)
+    configs = (
+        SearchConfig.for_ensemble(base),
+        SearchConfig.for_ensemble(base, adaptive=False),
+        SearchConfig.for_ensemble(base, indices=[0, 1]),
+    )
+    for w in grid:
+        ens = replace(base, priors=w)
+        for cfg in configs:
+            for leader in (None, *range(ens.arity)):
+                _assert_same_report(optimal_local(ens, cfg, leader), rebuilt_optimal_local(ens, cfg, leader))
+
+
+@pytest.mark.parametrize("draw", [random_instance, mixed_outcome_instance])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_rebuild_equals_the_reference_rebuild_on_random_instances(draw, arity):
+    rng = np.random.default_rng(2500 + arity)
+    for i in range(12):
+        ens, cfg = draw(rng, arity, 3, 6)
+        for adaptive in (True, False):
+            variant = SearchConfig(cfg.measurements, adaptive)
+            for leader in (None, i % arity):
+                _assert_same_report(optimal_local(ens, variant, leader), rebuilt_optimal_local(ens, variant, leader))
+
+
 def test_lattice_handles_measurements_with_different_outcome_counts():
     ens = load("s5")
     penta = ens.composite.parts[0]
@@ -419,7 +508,8 @@ def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, state
         ens, cfg = mixed_outcome_instance(rng, arity, measurements, states)
         for adaptive in (True, False):
             variant = SearchConfig(cfg.measurements, adaptive)
-            tables, offsets, slots = _tables(ens, variant, None)
+            tables, slots = _tables(ens, variant, None)
+            offsets = outcome_offsets(variant)
             one = _leaf_values(ens.priors[None], tables)
             for values in (one[..., 0], one, _leaf_values(_random_priors(prior_rng, ens, 5), tables)):
                 ours, reference = values.copy(), values.copy()
@@ -464,13 +554,33 @@ def test_tables_and_config_effects_are_read_only():
     cfg = SearchConfig.for_ensemble(ens)
     given = [np.array(m) for m in ens.composite.parts[0].measurements()]
     copied = SearchConfig((given,) * 3)
-    tables, _, _ = _tables(ens, cfg, None)
+    tables, _ = _tables(ens, cfg, None)
     effects = [m for c in (cfg, copied) for per in c.measurements for m in per]
     for array in (*tables, *effects):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 9.0
     given[0][0] = 9.0  # the caller's arrays stay theirs to write
     assert np.array_equal(copied.measurements[0][0], cfg.measurements[0][0])
+
+
+def test_a_config_is_prepared_once(monkeypatch):
+    ens = load("s5")
+    cfg = SearchConfig.for_ensemble(ens)
+    first, rows = optimal_local(ens, cfg), leader_optima(ens, cfg, ens.priors)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config was prepared again")
+
+    monkeypatch.setattr(discrimination, "_outcome_slots", refuse)
+    monkeypatch.setattr(np, "concatenate", refuse)
+    again = optimal_local(ens, cfg)
+    assert again.success == first.success
+    assert tree_to_text(again.tree) == tree_to_text(first.tree)
+    assert leader_optima(ens, cfg, ens.priors) == rows
+    assert cfg.node(again.tree.party, again.tree.measurement, ()).effects is again.tree.effects
+    for party in cfg._prepared:
+        for array in (party.effects, party.sums, *itertools.chain(*party.outcomes)):
+            assert array.flags.writeable is False
 
 
 def _validation_cases():
@@ -505,6 +615,16 @@ def test_config_errors_and_their_precedence(case):
     if leader is None:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             leader_optima(ens, cfg, ens.priors)
+
+
+@pytest.mark.parametrize("case", _validation_cases(), ids=lambda case: case[0])
+def test_config_errors_repeat_on_a_second_call(case):
+    _, per_party, leader, message = case
+    ens = load("s5")
+    cfg = SearchConfig(per_party)
+    for _ in range(2):  # the second call reads the config as prepared by the first
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_local(ens, cfg, leader)
 
 
 def _largest_accepted_instance(k, seed=17):
