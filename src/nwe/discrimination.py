@@ -26,7 +26,7 @@ multiplied in party order.  Walking subsets by decreasing size, each entry
 with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
 is then rebuilt top-down from the finished tensor.  The sums go through
-each party's outcome slots, worked out once per config: for each outcome
+each party's outcome slots, worked out once per solve: for each outcome
 position o, the measurements that have an o-th outcome and those outcomes'
 table rows, as basic slices when evenly spaced (always, when every
 measurement has the same number of outcomes).  The same slots sum each
@@ -58,9 +58,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,39 +143,8 @@ class SearchConfig:
 
     def node(self, party: int, measurement: int, children) -> Node:
         """Convenience constructor wiring a tree node to this config's effects."""
-        prepared = self._prepared[party]
-        if prepared is None:  # a config _tables refuses; its nodes still carry their effects
-            return Node(party, measurement, tuple(self.measurements[party][measurement]), tuple(children))
-        return Node(party, measurement, prepared.outcomes[measurement], tuple(children))
-
-    @cached_property
-    def _prepared(self) -> tuple:
-        """Each party's ``_Party``, worked out on first use; None for a party with no
-        measurements or with a measurement of no outcomes, which ``_tables`` refuses."""
-        parties = []
-        for per in self.measurements:
-            counts = [len(m) for m in per]
-            if not per or 0 in counts:
-                parties.append(None)
-                continue
-            # offsets[mi] = position of measurement mi's first outcome among the table rows 1..J
-            offsets = list(accumulate(counts[:-1], initial=0))
-            slots = _outcome_slots(counts, offsets)
-            effects = _frozen(np.concatenate(per))[0]
-            sums = _frozen(_outcome_sums(effects, slots))[0]
-            spans = tuple(range(1 + lo, 1 + lo + n) for lo, n in zip(offsets, counts))
-            parties.append(_Party(effects, slots, sums, spans, tuple(tuple(m) for m in per)))
-        return tuple(parties)
-
-
-class _Party(NamedTuple):
-    """One party's measurements, prepared once per config; every array is read-only."""
-
-    effects: np.ndarray  # every measurement's effects, concatenated: table rows 1..J
-    slots: list  # ``_outcome_slots`` of the measurements
-    sums: np.ndarray  # per measurement, its effects added in outcome order
-    spans: tuple  # per measurement, the range of its outcomes' table rows
-    outcomes: tuple  # per measurement, the tuple of its effect vectors (``Node.effects``)
+        effects = tuple(self.measurements[party][measurement])
+        return Node(party, measurement, effects, tuple(children))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +171,7 @@ def eval_tree(tree, ens) -> float:
     """Success probability of an explicit protocol tree on an ensemble.
 
     Nodes that share one effects object at one party (as the nodes of one
-    config do) are checked and tabled once per call.
+    ``optimal_local`` tree do) are checked and tabled once per call.
     """
     arity = ens.composite.arity
     factors = [_factors(ens, p) for p in range(arity)]
@@ -244,10 +212,12 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    tables, slots = _tables(ens, cfg, leader)
+    tables, offsets, slots = _tables(ens, cfg, leader)
     values = _leaf_values(ens.priors[None], tables)[..., 0]
     by_leader = _bellman(values, slots, cfg)
-    parties = cfg._prepared
+    # per party and measurement: its outcomes' table rows, and the effect tuple its nodes share
+    spans = [[range(1 + lo, 1 + lo + len(m)) for lo, m in zip(*pm)] for pm in zip(offsets, cfg.measurements)]
+    shared = {}
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():
@@ -255,7 +225,7 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
         best_value = -1.0
         for a in _movers(remaining, cfg.adaptive, leader if len(remaining) == arity else None):
             along = values[index[:a] + (slice(None),) + index[a + 1 :]].tolist()
-            for mi, span in enumerate(parties[a].spans):
+            for mi, span in enumerate(spans[a]):
                 total = 0.0
                 for r in span:
                     total += along[r]
@@ -263,9 +233,11 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
                     best_value, choice = total, (a, mi)
         a, mi = choice
         rest = tuple(x for x in remaining if x != a)
-        rows = parties[a].spans[mi]
+        rows = spans[a][mi]
         children = [build(index[:a] + (r,) + index[a + 1 :], rest, weights * tables[a][r]) for r in rows]
-        return Node(a, mi, parties[a].outcomes[mi], tuple(children))
+        if choice not in shared:
+            shared[choice] = tuple(cfg.measurements[a][mi])
+        return Node(a, mi, shared[choice], tuple(children))
 
     root = (0,) * arity
     tree = build(root, tuple(range(arity)), ens.priors)
@@ -281,7 +253,7 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
     likelihood tables are built once, and each block of rows is one lattice
     solve with a trailing prior axis.
     """
-    tables, slots = _tables(ens, cfg, None)
+    tables, _, slots = _tables(ens, cfg, None)
     return _solve_rows(tables, slots, cfg, priors)
 
 
@@ -299,13 +271,14 @@ def _solve_rows(tables, slots, cfg: SearchConfig, priors) -> list:
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's read-only likelihood table: (tables, slots)."""
+    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots)."""
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
     if len(cfg.measurements) != arity:
         raise ValueError("one measurement list per party required")
-    parties = cfg._prepared
+    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
+    offsets, slots, effects = [], [], []
     for p, per in enumerate(cfg.measurements):
         if not per:
             raise ValueError(f"party {p} has no allowed measurements")
@@ -317,14 +290,17 @@ def _tables(ens, cfg: SearchConfig, leader):
         counts = [len(m) for m in per]
         if 0 in counts:  # no outcomes, so no row of the sums below; its sum is zero
             require_complete(per[counts.index(0)], unit, what)
+        offsets.append(list(accumulate(counts[:-1], initial=0)))
+        slots.append(_outcome_slots(counts, offsets[-1]))
+        effects.append(np.concatenate(per))
         # one stacked outcome whose rows are each measurement's effects added in outcome order
-        require_complete(parties[p].sums[None], unit, what)
+        require_complete(_outcome_sums(effects[-1], slots[-1])[None], unit, what)
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    rows = (likelihoods(party.effects, _factors(ens, p)) for p, party in enumerate(parties))
-    tables = _frozen(*(np.vstack([np.ones(ens.size), lik]) for lik in rows))
-    return tables, [party.slots for party in parties]
+    rows = (likelihoods(e, _factors(ens, p)) for p, e in enumerate(effects))
+    tables = _frozen(*(np.concatenate((np.ones((1, ens.size)), lik)) for lik in rows))
+    return tables, offsets, slots
 
 
 def _outcome_slots(counts, offsets) -> list:
@@ -334,6 +310,9 @@ def _outcome_slots(counts, offsets) -> list:
     Each is a basic slice when its indices are evenly spaced, which they are
     whenever every measurement has the same number of outcomes.
     """
+    if len(set(counts)) == 1:  # n outcomes each, so outcome o's rows are o, o + n, ...
+        m, n = len(counts), counts[0]
+        return [(slice(0, m, 1), slice(o, o + (m - 1) * n + 1, n)) for o in range(n)]
     slots = []
     for o in range(max(counts)):
         ms = [mi for mi, n in enumerate(counts) if n > o]

@@ -33,7 +33,7 @@ MAX_CURVE_STEPS = 100_000
 # The pentagon ensemble, its default measurements and their lattice tables; no grid changes them.
 _S5 = load("s5")
 _S5_CONFIG = SearchConfig.for_ensemble(_S5)
-_S5_TABLES, _S5_SLOTS = _tables(_S5, _S5_CONFIG, None)
+_S5_TABLES, _, _S5_SLOTS = _tables(_S5, _S5_CONFIG, None)
 
 __all__ = [
     "CSV_HEADER",

@@ -178,11 +178,6 @@ def mixed_outcome_instance(rng, arity=2, max_measurements=2, max_states=6):
     return ens, nwe.SearchConfig(tuple(per_party))
 
 
-def outcome_offsets(cfg):
-    """offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J."""
-    return [list(itertools.accumulate([len(m) for m in per][:-1], initial=0)) for per in cfg.measurements]
-
-
 def gather_bellman(values, offsets, cfg):
     """The lattice's Bellman pass with one fancy-index gather and scatter per outcome position.
 
@@ -219,16 +214,16 @@ def rebuilt_optimal_local(ens, cfg, leader=None):
     """``optimal_local`` with the top-down tree rebuild as it was first written.
 
     The lattice is the library's (``_tables``, ``_leaf_values`` and
-    ``_bellman``).  The rebuild works out each measurement's outcome count
-    and first table row from ``cfg.measurements`` at every node, re-sums the
-    candidates' outcomes left to right, keeps a later candidate only when it
-    is strictly larger, and gives each node a fresh tuple of its effect rows.
+    ``_bellman``).  At every node the rebuild reads each measurement's
+    outcome count from ``cfg.measurements`` and its first table row from
+    ``_tables``' offsets, re-sums the candidates' outcomes left to right,
+    keeps a later candidate only when it is strictly larger, and gives each
+    node a fresh tuple of its effect rows.
     """
     arity = ens.composite.arity
-    tables, slots = _tables(ens, cfg, leader)
+    tables, offsets, slots = _tables(ens, cfg, leader)
     values = _leaf_values(ens.priors[None], tables)[..., 0]
     by_leader = _bellman(values, slots, cfg)
-    offsets = outcome_offsets(cfg)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():

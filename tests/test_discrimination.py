@@ -57,7 +57,6 @@ from _oracles import (
     gather_bellman,
     likelihood_tables,
     mixed_outcome_instance,
-    outcome_offsets,
     product_prob,
     random_instance,
     rebuilt_optimal_local,
@@ -508,8 +507,7 @@ def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, state
         ens, cfg = mixed_outcome_instance(rng, arity, measurements, states)
         for adaptive in (True, False):
             variant = SearchConfig(cfg.measurements, adaptive)
-            tables, slots = _tables(ens, variant, None)
-            offsets = outcome_offsets(variant)
+            tables, offsets, slots = _tables(ens, variant, None)
             one = _leaf_values(ens.priors[None], tables)
             for values in (one[..., 0], one, _leaf_values(_random_priors(prior_rng, ens, 5), tables)):
                 ours, reference = values.copy(), values.copy()
@@ -554,33 +552,13 @@ def test_tables_and_config_effects_are_read_only():
     cfg = SearchConfig.for_ensemble(ens)
     given = [np.array(m) for m in ens.composite.parts[0].measurements()]
     copied = SearchConfig((given,) * 3)
-    tables, _ = _tables(ens, cfg, None)
+    tables, _, _ = _tables(ens, cfg, None)
     effects = [m for c in (cfg, copied) for per in c.measurements for m in per]
     for array in (*tables, *effects):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 9.0
     given[0][0] = 9.0  # the caller's arrays stay theirs to write
     assert np.array_equal(copied.measurements[0][0], cfg.measurements[0][0])
-
-
-def test_a_config_is_prepared_once(monkeypatch):
-    ens = load("s5")
-    cfg = SearchConfig.for_ensemble(ens)
-    first, rows = optimal_local(ens, cfg), leader_optima(ens, cfg, ens.priors)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the config was prepared again")
-
-    monkeypatch.setattr(discrimination, "_outcome_slots", refuse)
-    monkeypatch.setattr(np, "concatenate", refuse)
-    again = optimal_local(ens, cfg)
-    assert again.success == first.success
-    assert tree_to_text(again.tree) == tree_to_text(first.tree)
-    assert leader_optima(ens, cfg, ens.priors) == rows
-    assert cfg.node(again.tree.party, again.tree.measurement, ()).effects is again.tree.effects
-    for party in cfg._prepared:
-        for array in (party.effects, party.sums, *itertools.chain(*party.outcomes)):
-            assert array.flags.writeable is False
 
 
 def _validation_cases():
@@ -591,11 +569,16 @@ def _validation_cases():
     incomplete = ms + (np.array([penta.effect(0), penta.effect(1)]),)
     nan_effect = ms + (np.array([[np.nan, 0.0, 0.5], [0.0, 0.0, 0.5]]),)
     no_outcomes = ms + (np.zeros((0, 3)),)
+    # np.concatenate refuses a party whose effects differ in dimension, after that party's
+    # own checks above and every earlier party's checks
+    mixed_dimensions = ms + (np.array([[0.0, 0.0, 0.0, 1.0]]),)
     over_bound = f"party 0 has {{}} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}".format
     incomplete_at = "incomplete measurement at party {}: effects do not sum to the unit".format
     return [
         ("empty-before-over-bound", ((), over, ms), None, "party 0 has no allowed measurements"),
         ("over-bound-before-empty", (over, (), ms), None, over_bound(20)),
+        ("over-bound-before-mixed-dimensions", (over, mixed_dimensions, ms), None, over_bound(20)),
+        ("empty-before-mixed-dimensions", (ms, (), mixed_dimensions), None, "party 1 has no allowed measurements"),
         ("over-bound-before-incomplete", (over + incomplete, ms, ms), None, over_bound(26)),
         ("incomplete-before-over-bound", (ms, incomplete, over), None, incomplete_at(1)),
         ("nan-effect", (ms, ms, nan_effect), None, incomplete_at(2)),
@@ -610,21 +593,12 @@ def test_config_errors_and_their_precedence(case):
     _, per_party, leader, message = case
     ens = load("s5")
     cfg = SearchConfig(per_party)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        optimal_local(ens, cfg, leader)
+    for _ in range(2):  # a second call on the same config raises the same error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_local(ens, cfg, leader)
     if leader is None:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             leader_optima(ens, cfg, ens.priors)
-
-
-@pytest.mark.parametrize("case", _validation_cases(), ids=lambda case: case[0])
-def test_config_errors_repeat_on_a_second_call(case):
-    _, per_party, leader, message = case
-    ens = load("s5")
-    cfg = SearchConfig(per_party)
-    for _ in range(2):  # the second call reads the config as prepared by the first
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            optimal_local(ens, cfg, leader)
 
 
 def _largest_accepted_instance(k, seed=17):
