@@ -18,10 +18,11 @@ seeded with L = priors.  Likelihoods of product states commute, so L
 depends only on the set of observed (party, measurement, outcome) triples,
 not on their order, and ``optimal_local`` solves each subproblem once by
 dynamic programming over the lattice of measured-party subsets (the
-Held-Karp idiom).  Party a's likelihood table, one ``systems.likelihoods``
-call, holds row 0 of ones ("not measured yet") and one row per flattened
-(measurement, outcome) pair j_a = 1..J_a.  One tensor indexed by (j_0, ...,
-j_{n-1}) starts as the leaf values max_k prior_k * prod_a table_a[j_a, k],
+Held-Karp idiom).  Party a's likelihood table holds row 0 of ones ("not
+measured yet") and one row per flattened (measurement, outcome) pair j_a =
+1..J_a; one ``systems.likelihoods`` call fills every party's table when the
+parties share one dimension.  One tensor indexed by (j_0, ..., j_{n-1})
+starts as the leaf values max_k prior_k * prod_a table_a[j_a, k],
 multiplied in party order.  Walking subsets by decreasing size, each entry
 with unmeasured parties (its zero axes) becomes the max over those parties
 and their measurements of the outcome sum, added in outcome order; the tree
@@ -60,12 +61,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from . import catalog
 from .composition import SeparableMeasurement
-from .systems import _frozen, likelihoods, require_complete
+from .systems import _frozen, _require_sums, likelihoods, require_complete
 
 MAX_ARITY = 4
 MAX_MEASUREMENTS_PER_PARTY = 16
@@ -170,20 +172,23 @@ def confusion_matrix(M: SeparableMeasurement, ens) -> np.ndarray:
 def eval_tree(tree, ens) -> float:
     """Success probability of an explicit protocol tree on an ensemble.
 
-    Nodes that share one effects object at one party (as the nodes of one
-    ``optimal_local`` tree do) are checked and tabled once per call.
+    The tree is checked first, then each distinct (party, effects object) is
+    tabled, all in one ``_likelihood_tables`` call (the nodes of one
+    measurement in an ``optimal_local`` tree share their effects), then the
+    weights are multiplied down the tree.  Errors come in the order of a walk
+    that checks and tables each node when it first meets it.
     """
     arity = ens.composite.arity
     factors = [_factors(ens, p) for p in range(arity)]
-    # (party, id of the effects) -> (the effects, their checked likelihood table); holding
-    # the effects keeps their id from being reused by another tuple during this call
-    seen = {}
+    # (party, id of the effects) -> (position in ``effects``, the effects), in the order first met;
+    # holding the effects keeps their id from being reused during this call
+    index, effects, states = {}, [], []
 
-    def walk(node, weights, used) -> float:
+    def check(node, used) -> None:
         if isinstance(node, Leaf):
             if not 0 <= node.guess < ens.size:
                 raise MalformedTreeError(f"guess {node.guess} out of range")
-            return float(weights[node.guess])
+            return
         if not isinstance(node, Node):
             raise MalformedTreeError(f"unexpected tree element {node!r}")
         if not 0 <= node.party < arity:
@@ -193,16 +198,29 @@ def eval_tree(tree, ens) -> float:
         if len(node.children) != len(node.effects):
             raise MalformedTreeError("one child per measurement outcome required")
         key = (node.party, id(node.effects))
-        if key not in seen:
-            unit = ens.composite.parts[node.party].unit_effect
-            require_complete(node.effects, unit, f"measurement at party {node.party}")
-            seen[key] = node.effects, likelihoods(node.effects, factors[node.party])
+        if key not in index:
+            measured = np.asarray(node.effects, dtype=float)
+            require_complete(measured, ens.composite.parts[node.party].unit_effect, f"measurement at party {node.party}")
+            index[key] = len(effects), node.effects
+            effects.append(measured)
+            states.append(factors[node.party])
+        for child in node.children:
+            check(child, used | {node.party})
+
+    try:
+        check(tree, frozenset())
+    finally:  # the walk would have tabled every measurement met before an error, raising theirs first
+        tables = [t[1:].tolist() for t in _likelihood_tables(effects, states)]
+
+    def walk(node, weights) -> float:
+        if isinstance(node, Leaf):
+            return weights[node.guess]
         total = 0.0
-        for lik, child in zip(seen[key][1], node.children):
-            total += walk(child, weights * lik, used | {node.party})
+        for lik, child in zip(tables[index[node.party, id(node.effects)][0]], node.children):
+            total += walk(child, list(map(mul, weights, lik)))
         return total
 
-    return walk(tree, ens.priors, frozenset())
+    return walk(tree, ens.priors.tolist())
 
 
 def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> DiscriminationReport:
@@ -217,11 +235,11 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     by_leader = _bellman(values, slots, cfg)
     # per party and measurement: its outcomes' table rows, and the effect tuple its nodes share
     spans = [[range(1 + lo, 1 + lo + len(m)) for lo, m in zip(*pm)] for pm in zip(offsets, cfg.measurements)]
-    shared = {}
+    shared, rows = {}, [t.tolist() for t in tables]
 
     def build(index, remaining, weights):
-        if not remaining or not weights.any():
-            return Leaf(int(weights.argmax()))
+        if not remaining or not any(weights):
+            return Leaf(weights.index(max(weights)))  # the first largest weight
         best_value = -1.0
         for a in _movers(remaining, cfg.adaptive, leader if len(remaining) == arity else None):
             along = values[index[:a] + (slice(None),) + index[a + 1 :]].tolist()
@@ -233,14 +251,16 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
                     best_value, choice = total, (a, mi)
         a, mi = choice
         rest = tuple(x for x in remaining if x != a)
-        rows = spans[a][mi]
-        children = [build(index[:a] + (r,) + index[a + 1 :], rest, weights * tables[a][r]) for r in rows]
+        children = [
+            build(index[:a] + (r,) + index[a + 1 :], rest, list(map(mul, weights, rows[a][r])))
+            for r in spans[a][mi]
+        ]
         if choice not in shared:
             shared[choice] = tuple(cfg.measurements[a][mi])
         return Node(a, mi, shared[choice], tuple(children))
 
     root = (0,) * arity
-    tree = build(root, tuple(range(arity)), ens.priors)
+    tree = build(root, tuple(range(arity)), ens.priors.tolist())
     success = float(values[root] if leader is None else by_leader[leader][0])
     return DiscriminationReport(success, 1.0 - success, tree, leader)
 
@@ -271,7 +291,11 @@ def _solve_rows(tables, slots, cfg: SearchConfig, priors) -> list:
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots)."""
+    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots).
+
+    Checks run party by party, so the first failing party's error is raised;
+    likelihood errors come after every check, in party, row and state order.
+    """
     arity = ens.composite.arity
     if arity > MAX_ARITY:
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
@@ -294,13 +318,33 @@ def _tables(ens, cfg: SearchConfig, leader):
         slots.append(_outcome_slots(counts, offsets[-1]))
         effects.append(np.concatenate(per))
         # one stacked outcome whose rows are each measurement's effects added in outcome order
-        require_complete(_outcome_sums(effects[-1], slots[-1])[None], unit, what)
+        _require_sums(_outcome_sums(effects[-1], slots[-1]), unit, what)
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    rows = (likelihoods(e, _factors(ens, p)) for p, e in enumerate(effects))
-    tables = _frozen(*(np.concatenate((np.ones((1, ens.size)), lik)) for lik in rows))
-    return tables, offsets, slots
+    return _likelihood_tables(effects, [_factors(ens, p) for p in range(arity)]), offsets, slots
+
+
+def _likelihood_tables(effects, factors) -> tuple:
+    """Read-only ``likelihoods(effects[i], factors[i])`` for each i, below a row of ones.
+
+    When every item has one dimension this is one ``likelihoods`` call on a
+    stack of the effects padded with zero rows after their own, so the first
+    value out of range is the one the calls in order would raise.
+    """
+    if not effects:
+        return ()
+    dim = effects[0].shape[1:]
+    if len(dim) != 1 or any(x.shape[1:] != dim for x in (*effects, *factors)):  # one call per item
+        return _frozen(*(np.concatenate((np.ones((1, len(f))), likelihoods(e, f))) for e, f in zip(effects, factors)))
+    blocks = np.zeros((len(effects), max(map(len, effects)), effects[0].shape[1]))
+    for block, e in zip(blocks, effects):
+        block[: len(e)] = e
+    tables = np.empty((len(effects), 1 + len(blocks[0]), len(factors[0])))
+    tables[:, 0] = 1.0
+    tables[:, 1:] = likelihoods(blocks, np.array(factors))
+    _frozen(tables)
+    return tuple(t[: 1 + len(e)] for t, e in zip(tables, effects))
 
 
 def _outcome_slots(counts, offsets) -> list:
@@ -331,10 +375,15 @@ def _as_slice(ix: list):
 def _outcome_sums(x: np.ndarray, slots, axis: int = 0) -> np.ndarray:
     """Per measurement, x summed along ``axis`` over its outcomes' rows, added in outcome order."""
     lead = (slice(None),) * axis  # so the next index applies to ``axis``
-    (_, rows), *later = slots
-    totals = x[lead + (rows,)].copy()
-    for ms, rows in later:
-        totals[lead + (ms,)] += x[lead + (rows,)]
+    (every, rows), *later = slots
+    totals = x[lead + (rows,)]  # a view of x until the first addition
+    for o, (ms, rows) in enumerate(later):
+        if ms == every:  # every measurement has this outcome: one new array, no copy first
+            totals = totals + x[lead + (rows,)]
+        else:
+            if o == 0:
+                totals = totals.copy()
+            totals[lead + (ms,)] += x[lead + (rows,)]
     return totals
 
 
@@ -435,5 +484,5 @@ def tree_to_text(tree) -> str:
     """Nested parenthesized rendering: (p<party> m<measurement> child ...), leaves g<guess>."""
     if isinstance(tree, Leaf):
         return f"g{tree.guess}"
-    inner = " ".join(tree_to_text(c) for c in tree.children)
+    inner = " ".join(map(tree_to_text, tree.children))
     return f"(p{tree.party} m{tree.measurement} {inner})"

@@ -186,12 +186,16 @@ def prob(effect: np.ndarray, state: np.ndarray, eps: float = DEFAULT_EPS) -> flo
 
 
 def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(J, K) table of ``prob(effects[j], states[k], eps)``, bit for bit: the same fixed-order sum."""
+    """(J, K) table of ``prob(effects[j], states[k], eps)``, bit for bit: the same fixed-order sum.
+
+    Stacks (..., J, dim) of effects and (..., K, dim) of states give a
+    (..., J, K) stack of tables, one per leading index.
+    """
     effects = np.asarray(effects, dtype=float)
     states = np.asarray(states, dtype=float)
     if effects.shape[-1:] != states.shape[-1:]:
         raise ValueError(f"dimension mismatch: effects {effects.shape} vs states {states.shape}")
-    v = _inner(effects[:, None], states)
+    v = _inner(effects[..., None, :], states[..., None, :, :])  # (..., J, 1, dim) against (..., 1, K, dim)
     lo, hi = v.min(initial=np.inf), v.max(initial=-np.inf)  # NaN propagates; an empty table passes
     if not (-eps <= lo and hi <= 1.0 + eps):
         bad = v[~((v >= -eps) & (v <= 1.0 + eps))]
@@ -202,7 +206,12 @@ def likelihoods(effects, states, eps: float = DEFAULT_EPS) -> np.ndarray:
 
 def require_complete(effects, unit: np.ndarray, what: str) -> None:
     """Raise ValueError unless the effects sum to the unit within DEFAULT_EPS."""
-    if not np.abs(np.asarray(effects, dtype=float).sum(axis=0) - unit).max() <= DEFAULT_EPS:  # NaN fails
+    _require_sums(np.asarray(effects, dtype=float).sum(axis=0), unit, what)
+
+
+def _require_sums(sums: np.ndarray, unit: np.ndarray, what: str) -> None:
+    """``require_complete`` on effect sums already added: each row of ``sums`` must be the unit."""
+    if not np.abs(sums - unit).max() <= DEFAULT_EPS:  # NaN fails
         raise ValueError(f"incomplete {what}: effects do not sum to the unit")
 
 

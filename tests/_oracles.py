@@ -64,6 +64,15 @@ def likelihood_tables(ens, cfg):
     ]
 
 
+def scalar_tables(ens, cfg):
+    """Each party's likelihood table from scalar ``prob`` calls, party by party: a row of ones,
+    then one row per (measurement, outcome) in order, one column per state."""
+    return [
+        np.array([[1.0] * len(ens.states)] + [[prob(e, st.factors[p]) for st in ens.states] for m in per for e in m])
+        for p, per in enumerate(cfg.measurements)
+    ]
+
+
 def recursive_optimal_local(ens, cfg, leader=None):
     """The optimum by explicit recursion over party orders, with the optimizer's tie-break.
 

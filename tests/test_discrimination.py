@@ -50,7 +50,7 @@ from nwe.discrimination import (
     optimal_local,
     tree_to_text,
 )
-from nwe.systems import make_polygon
+from nwe.systems import GptSystem, ProbabilityBoundError, make_polygon
 
 from _oracles import (
     brute_force_optimal,
@@ -61,6 +61,7 @@ from _oracles import (
     random_instance,
     rebuilt_optimal_local,
     recursive_optimal_local,
+    scalar_tables,
     simulate_tree,
 )
 
@@ -195,10 +196,10 @@ def test_eval_tree_builds_one_table_per_distinct_measurement(monkeypatch):
 
     monkeypatch.setattr(discrimination, "likelihoods", counted)
     assert eval_tree(tree, ens) == unpatched
-    assert len(calls) == 5
+    assert [len(stack) for stack in calls] == [5]  # one call, one table per distinct measurement
     calls.clear()
     assert eval_tree(_fresh_copy(tree), ens) == unpatched  # bit for bit
-    assert len(calls) == 7
+    assert [len(stack) for stack in calls] == [7]
 
 
 def test_eval_tree_refuses_an_incomplete_measurement_it_meets_twice():
@@ -215,6 +216,33 @@ def test_eval_tree_refuses_an_incomplete_measurement_it_meets_twice():
     for _ in range(2):  # nothing is remembered between calls
         with pytest.raises(ValueError, match=f"^{message}$"):
             eval_tree(tree, ens)
+
+
+def _with_factor(ens, party, state, factor):
+    """ens with state ``state``'s factor at ``party`` replaced."""
+    states = list(ens.states)
+    factors = list(states[state].factors)
+    factors[party] = np.asarray(factor, dtype=float)
+    states[state] = ProductState(tuple(factors))
+    return replace(ens, states=tuple(states))
+
+
+def test_eval_tree_raises_errors_in_the_order_a_walk_meets_them():
+    ens = load("s4")
+    cfg = SearchConfig.for_ensemble(ens)
+    out = _with_factor(ens, 1, 0, 2.0 * ens.states[0].factors[1])  # every party-1 table is out of range
+    high = cfg.node(1, 0, (Leaf(0), Leaf(1)))
+    malformed = nwe.Node(5, 0, high.effects, (Leaf(0), Leaf(1)))
+    incomplete = nwe.Node(1, 1, (high.effects[0], high.effects[0]), (Leaf(0), Leaf(1)))
+    cases = [
+        (cfg.node(0, 0, (high, malformed)), ProbabilityBoundError, "^inner product "),  # tabled before met
+        (cfg.node(0, 0, (malformed, high)), MalformedTreeError, "^party 5 out of range$"),
+        (cfg.node(0, 0, (high, incomplete)), ProbabilityBoundError, "^inner product "),
+        (cfg.node(0, 0, (incomplete, high)), ValueError, "^incomplete measurement at party 1: "),  # never tabled
+    ]
+    for tree, error, message in cases:
+        with pytest.raises(error, match=message):
+            eval_tree(tree, out)
 
 
 def test_pentagon_optimum_with_all_measurements():
@@ -599,6 +627,66 @@ def test_config_errors_and_their_precedence(case):
     if leader is None:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             leader_optima(ens, cfg, ens.priors)
+
+
+def _two_dimension_instance():
+    """A pentagon party and a classical-bit party, whose effects and states have dimension 2."""
+    penta = make_polygon(5)
+    bit = GptSystem("bit", np.eye(2), np.eye(2), np.eye(2)[::-1], np.ones(2), ())
+    states = tuple(ProductState((penta.pure_state(i), bit.pure_states[i % 2])) for i in (0, 1, 2, 4))
+    ens = nwe.NamedEnsemble("mixed", CompositeSystem((penta, bit)), states, np.array([0.4, 0.3, 0.2, 0.1]))
+    return ens, SearchConfig((tuple(penta.measurements()), (np.eye(2),)))
+
+
+def _table_cases():
+    cases = []
+    for cid in ("s4", "s5", "q3"):
+        ens = load(cid)
+        cases += [(ens, SearchConfig.for_ensemble(ens)), (ens, SearchConfig.for_ensemble(ens, indices=[0, 1]))]
+    rng = np.random.default_rng(2503)
+    for draw in (random_instance, mixed_outcome_instance):
+        cases += [draw(rng, arity, 3, 6) for arity in (2, 3, 4) for _ in range(3)]
+    return cases + [_two_dimension_instance()]
+
+
+def test_tables_equal_the_scalar_tables_bit_for_bit():
+    for ens, cfg in _table_cases():
+        tables = _tables(ens, cfg, None)[0]
+        for table, want in zip(tables, scalar_tables(ens, cfg), strict=True):
+            assert np.array_equal(table, want) and np.array_equal(np.signbit(table), np.signbit(want))
+            assert not table.flags.writeable
+
+
+def test_parties_of_different_dimensions_solve_and_evaluate():
+    ens, cfg = _two_dimension_instance()
+    for leader in (None, 0, 1):
+        report = optimal_local(ens, cfg, leader)
+        assert report.success == pytest.approx(recursive_optimal_local(ens, cfg, leader).success, abs=1e-12)
+        assert eval_tree(report.tree, ens) == pytest.approx(report.success, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        [(1, 2, 2.0)],  # party 1 only
+        [(1, 0, 2.0), (0, 3, 1.5)],  # party 0 first, though party 1's bad state comes first
+        [(1, 0, 2.0), (0, 1, [np.inf, 0.0, 1.0])],
+        [(1, 2, [np.nan, 0.0, 1.0])],
+    ],
+    ids=["one-party", "party-order", "infinite", "nan"],
+)
+def test_tables_raise_the_first_value_out_of_range_in_party_order(changes):
+    base = load("s4")
+    ens = base
+    for party, state, change in changes:
+        factor = change * base.states[state].factors[party] if np.isscalar(change) else change
+        ens = _with_factor(ens, party, state, factor)
+    cfg = SearchConfig.for_ensemble(ens)
+    with pytest.raises(ProbabilityBoundError) as scalar:
+        scalar_tables(ens, cfg)
+    for solve in (lambda: optimal_local(ens, cfg), lambda: leader_optima(ens, cfg, ens.priors)):
+        with pytest.raises(ProbabilityBoundError, match=f"^{re.escape(str(scalar.value))}$"):
+            solve()
 
 
 def _largest_accepted_instance(k, seed=17):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,25 @@ def test_likelihoods_equal_scalar_prob_on_q3_bloch_states():
         states = np.array([state.factors[p] for state in ens.states])
         effects = np.concatenate(default_measurements(part))
         assert np.array_equal(likelihoods(effects, states), _scalar_table(effects, states))
+
+
+def test_likelihoods_of_a_stack_equal_each_pair_of_the_stack():
+    polys = [make_polygon(n) for n in (5, 6, 7)]
+    effects = np.array([[p.effect(k) for k in range(4)] for p in polys])
+    states = np.array([p.pure_states[:5] for p in polys])
+    stacked = likelihoods(effects, states)
+    assert stacked.shape == (3, 4, 5)
+    for got, e, w in zip(stacked, effects, states):
+        want = likelihoods(e, w)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # out of range in the last two pairs: the stack names the first value the pairs in order would
+    states[2, 0] *= 3.0
+    states[1, 3] *= 2.0
+    with pytest.raises(ProbabilityBoundError) as first:
+        for e, w in zip(effects, states):
+            likelihoods(e, w)
+    with pytest.raises(ProbabilityBoundError, match=f"^{re.escape(str(first.value))}$"):
+        likelihoods(effects, states)
 
 
 def test_likelihoods_snap_boundary_and_raise_outside():
