@@ -37,7 +37,7 @@ LEADER_NAMES = {"alice": 0, "bob": 1, "charlie": 2, "0": 0, "1": 1, "2": 2}
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".10g")
+    return format(float(x) + 0.0, ".10g")  # + 0.0 turns -0.0 into 0
 
 
 def _checked(convert, want: str, ok=lambda value: True):

@@ -32,7 +32,7 @@ def kron(vectors) -> np.ndarray:
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
         raise ValueError("kron of an empty sequence")
-    return reduce(np.kron, vecs)
+    return reduce(np.multiply.outer, vecs).ravel()  # np.kron's products, in its order
 
 
 def _as_factors(factors) -> tuple:

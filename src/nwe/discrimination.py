@@ -18,26 +18,25 @@ seeded with L = priors.  Likelihoods of product states commute, so L
 depends only on the set of observed (party, measurement, outcome) triples,
 not on their order, and ``optimal_local`` solves each subproblem once by
 dynamic programming over the lattice of measured-party subsets (the
-Held-Karp idiom).  Party a's likelihood table holds row 0 of ones ("not
-measured yet") and one row per flattened (measurement, outcome) pair j_a =
-1..J_a; one ``systems.likelihoods`` call fills every party's table when the
-parties share one dimension.  One tensor indexed by (j_0, ..., j_{n-1})
-starts as the leaf values max_k prior_k * prod_a table_a[j_a, k],
-multiplied in party order.  Walking subsets by decreasing size, each entry
-with unmeasured parties (its zero axes) becomes the max over those parties
-and their measurements of the outcome sum, added in outcome order; the tree
-is then rebuilt top-down from the finished tensor.  The sums go through
-each party's outcome slots, worked out once per solve: for each outcome
-position o, the measurements that have an o-th outcome and those outcomes'
-table rows, as basic slices when evenly spaced (always, when every
-measurement has the same number of outcomes).  The same slots sum each
-party's concatenated effects, so validation makes one completeness check
-per party.  A forced leader changes only the root step, so one lattice
-serves every leader: ``leader_optima`` reads each party's forced-leader
-optimum off it.  The tables hold no priors, so the tensor has a trailing
-axis with one row of priors per entry: ``optimal_local`` solves the
-ensemble's own row, ``leader_optima`` a (B, K) stack of rows, and tables
-prepared once solve any number of stacks (``quantum`` keeps the pentagon's).
+Held-Karp idiom).  Party a's M_a measurements are padded with zero
+effects to O_a outcomes, the largest count among them, so its likelihood
+table holds row 0 of ones ("not measured yet") and then row 1 + mi * O_a + o
+for outcome o of measurement mi, J_a = M_a * O_a rows in all; one
+``systems.likelihoods`` call fills every party's table when the parties
+share one dimension.  One tensor indexed by (j_0, ..., j_{n-1}) starts as
+the leaf values max_k prior_k * prod_a table_a[j_a, k], multiplied in party
+order.  Walking subsets by decreasing size, each entry with unmeasured
+parties (its zero axes) becomes the max over those parties and their
+measurements of the outcome sum: O_a strided slices added in outcome order,
+a padded row adding zero.  The tree is then rebuilt top-down from the
+finished tensor.  The same slices sum each party's effects, so validation
+makes one completeness check per party.  A forced leader changes only the
+root step, so one lattice serves every leader: ``leader_optima`` reads each
+party's forced-leader optimum off it.  The tables hold no priors, so the
+tensor has a trailing axis with one row of priors per entry:
+``optimal_local`` solves the ensemble's own row, ``leader_optima`` a (B, K)
+stack of rows, and tables prepared once solve any number of stacks
+(``quantum`` keeps the pentagon's).
 The subset walk is made once per (arity, adaptive).  Products, sums and
 maxima are elementwise, so every row equals its own solve bit for bit.
 The tensor has prod_a (1 + J_a) entries per row, and ``leader_optima``
@@ -60,7 +59,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -230,11 +228,14 @@ def optimal_local(ens, cfg: SearchConfig, leader: int | None = None) -> Discrimi
     order follows ``cfg.adaptive``.
     """
     arity = ens.composite.arity
-    tables, offsets, slots = _tables(ens, cfg, leader)
+    tables, outcomes = _tables(ens, cfg, leader)
     values = _leaf_values(ens.priors[None], tables)[..., 0]
-    by_leader = _bellman(values, slots, cfg)
+    by_leader = _bellman(values, outcomes, cfg)
     # per party and measurement: its outcomes' table rows, and the effect tuple its nodes share
-    spans = [[range(1 + lo, 1 + lo + len(m)) for lo, m in zip(*pm)] for pm in zip(offsets, cfg.measurements)]
+    spans = [
+        [range(1 + mi * n, 1 + mi * n + len(m)) for mi, m in enumerate(per)]
+        for n, per in zip(outcomes, cfg.measurements)
+    ]
     shared, rows = {}, [t.tolist() for t in tables]
 
     def build(index, remaining, weights):
@@ -273,27 +274,29 @@ def leader_optima(ens, cfg: SearchConfig, priors) -> list:
     likelihood tables are built once, and each block of rows is one lattice
     solve with a trailing prior axis.
     """
-    tables, _, slots = _tables(ens, cfg, None)
-    return _solve_rows(tables, slots, cfg, priors)
+    return _solve_rows(*_tables(ens, cfg, None), cfg, priors)
 
 
-def _solve_rows(tables, slots, cfg: SearchConfig, priors) -> list:
-    """``leader_optima`` on tables and slots already built by ``_tables`` for cfg."""
+def _solve_rows(tables, outcomes, cfg: SearchConfig, priors) -> list:
+    """``leader_optima`` on the tables and outcome counts ``_tables`` built for cfg."""
     size = tables[0].shape[1]
     catalog.require_priors(priors, size)
     priors = np.asarray(priors, dtype=float).reshape(-1, size)
     per_block = max(1, _CHUNK_ENTRIES // math.prod(len(t) for t in tables))
     rows = []
     for lo in range(0, len(priors), per_block):
-        by_leader = _bellman(_leaf_values(priors[lo : lo + per_block], tables), slots, cfg)
+        by_leader = _bellman(_leaf_values(priors[lo : lo + per_block], tables), outcomes, cfg)
         rows.extend(zip(*(v.tolist() for v in by_leader)))
     return rows
 
 
 def _tables(ens, cfg: SearchConfig, leader):
-    """Validate, then build each party's read-only likelihood table: (tables, offsets, slots).
+    """Validate, then build each party's read-only likelihood table: (tables, outcomes).
 
-    Checks run party by party, so the first failing party's error is raised;
+    Party a's measurements are padded with zero effects to ``outcomes[a]``,
+    the largest outcome count among them (at least 1), so measurement mi's
+    outcome o is row 1 + mi * outcomes[a] + o of party a's table.  Checks
+    run party by party, so the first failing party's error is raised;
     likelihood errors come after every check, in party, row and state order.
     """
     arity = ens.composite.arity
@@ -301,8 +304,7 @@ def _tables(ens, cfg: SearchConfig, leader):
         raise ValueError(f"arity {arity} exceeds supported bound {MAX_ARITY}")
     if len(cfg.measurements) != arity:
         raise ValueError("one measurement list per party required")
-    # offsets[a][mi] = position of measurement mi's first outcome among party a's table rows 1..J
-    offsets, slots, effects = [], [], []
+    outcomes, effects = [], []
     for p, per in enumerate(cfg.measurements):
         if not per:
             raise ValueError(f"party {p} has no allowed measurements")
@@ -311,18 +313,20 @@ def _tables(ens, cfg: SearchConfig, leader):
                 f"party {p} has {len(per)} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}"
             )
         unit, what = ens.composite.parts[p].unit_effect, f"measurement at party {p}"
-        counts = [len(m) for m in per]
-        if 0 in counts:  # no outcomes, so no row of the sums below; its sum is zero
-            require_complete(per[counts.index(0)], unit, what)
-        offsets.append(list(accumulate(counts[:-1], initial=0)))
-        slots.append(_outcome_slots(counts, offsets[-1]))
-        effects.append(np.concatenate(per))
+        for m in per:  # padding would broadcast any other shape
+            if m.shape[1:] != unit.shape:
+                raise ValueError(f"malformed {what}: shape {m.shape}, not (outcomes, {len(unit)})")
+        outcomes.append(max(1, *map(len, per)))
+        padded = np.zeros((len(per), outcomes[-1], len(unit)))
+        for block, m in zip(padded, per):
+            block[: len(m)] = m
+        effects.append(padded.reshape(-1, len(unit)))
         # one stacked outcome whose rows are each measurement's effects added in outcome order
-        _require_sums(_outcome_sums(effects[-1], slots[-1]), unit, what)
+        _require_sums(_outcome_sums(effects[-1], outcomes[-1]), unit, what)
     if leader is not None and not 0 <= leader < arity:
         raise ValueError(f"leader {leader} out of range")
 
-    return _likelihood_tables(effects, [_factors(ens, p) for p in range(arity)]), offsets, slots
+    return _likelihood_tables(effects, [_factors(ens, p) for p in range(arity)]), outcomes
 
 
 def _likelihood_tables(effects, factors) -> tuple:
@@ -347,43 +351,12 @@ def _likelihood_tables(effects, factors) -> tuple:
     return tuple(t[: 1 + len(e)] for t, e in zip(tables, effects))
 
 
-def _outcome_slots(counts, offsets) -> list:
-    """(measurements, rows) per outcome position o: the measurements with an o-th outcome
-    and those outcomes' rows among the party's concatenated effects.
-
-    Each is a basic slice when its indices are evenly spaced, which they are
-    whenever every measurement has the same number of outcomes.
-    """
-    if len(set(counts)) == 1:  # n outcomes each, so outcome o's rows are o, o + n, ...
-        m, n = len(counts), counts[0]
-        return [(slice(0, m, 1), slice(o, o + (m - 1) * n + 1, n)) for o in range(n)]
-    slots = []
-    for o in range(max(counts)):
-        ms = [mi for mi, n in enumerate(counts) if n > o]
-        slots.append((_as_slice(ms), _as_slice([offsets[mi] + o for mi in ms])))
-    return slots
-
-
-def _as_slice(ix: list):
-    """The slice selecting exactly ``ix`` if its entries are evenly spaced, else ``ix``."""
-    step = ix[1] - ix[0] if len(ix) > 1 else 1  # ix is increasing
-    if ix == list(range(ix[0], ix[-1] + 1, step)):
-        return slice(ix[0], ix[-1] + 1, step)
-    return ix
-
-
-def _outcome_sums(x: np.ndarray, slots, axis: int = 0) -> np.ndarray:
-    """Per measurement, x summed along ``axis`` over its outcomes' rows, added in outcome order."""
+def _outcome_sums(x: np.ndarray, outcomes: int, axis: int = 0) -> np.ndarray:
+    """Per measurement, x summed along ``axis`` over its ``outcomes`` rows, added in outcome order."""
     lead = (slice(None),) * axis  # so the next index applies to ``axis``
-    (every, rows), *later = slots
-    totals = x[lead + (rows,)]  # a view of x until the first addition
-    for o, (ms, rows) in enumerate(later):
-        if ms == every:  # every measurement has this outcome: one new array, no copy first
-            totals = totals + x[lead + (rows,)]
-        else:
-            if o == 0:
-                totals = totals.copy()
-            totals[lead + (ms,)] += x[lead + (rows,)]
+    totals = x[lead + (slice(0, None, outcomes),)]  # a view of x until the first addition
+    for o in range(1, outcomes):
+        totals = totals + x[lead + (slice(o, None, outcomes),)]
     return totals
 
 
@@ -418,7 +391,7 @@ def _leaf_values(priors: np.ndarray, tables) -> np.ndarray:
     return values
 
 
-def _bellman(values: np.ndarray, slots, cfg: SearchConfig) -> tuple:
+def _bellman(values: np.ndarray, outcomes, cfg: SearchConfig) -> tuple:
     """Overwrite every entry that leaves a party unmeasured with its optimal value.
 
     An entry's measured parties are its party axes with a nonzero index; a
@@ -428,10 +401,10 @@ def _bellman(values: np.ndarray, slots, cfg: SearchConfig) -> tuple:
     takes the best over cfg's movers; returns its values with each party leading.
     """
     by_leader = []
-    for here, root, moves in _walk(len(slots), cfg.adaptive):
+    for here, root, moves in _walk(len(outcomes), cfg.adaptive):
         best = None
         for a, after, mover in moves:
-            value = _outcome_sums(values[after], slots[a], a).max(axis=a, keepdims=True)
+            value = _outcome_sums(values[after], outcomes[a], a).max(axis=a, keepdims=True)
             if root:
                 by_leader.append(value.ravel())
             if mover:

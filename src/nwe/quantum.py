@@ -33,7 +33,7 @@ MAX_CURVE_STEPS = 100_000
 # The pentagon ensemble, its default measurements and their lattice tables; no grid changes them.
 _S5 = load("s5")
 _S5_CONFIG = SearchConfig.for_ensemble(_S5)
-_S5_TABLES, _, _S5_SLOTS = _tables(_S5, _S5_CONFIG, None)
+_S5_TABLES, _S5_OUTCOMES = _tables(_S5, _S5_CONFIG, None)
 
 __all__ = [
     "CSV_HEADER",
@@ -135,7 +135,7 @@ def curve(p_min: float, p_max: float, steps: int) -> list:
     grid = np.linspace(p_min, p_max, steps).tolist()
     rows = np.array([biased(p).weights(8) for p in grid])
     points = []
-    for p, w, optima in zip(grid, rows, _solve_rows(_S5_TABLES, _S5_SLOTS, _S5_CONFIG, rows)):
+    for p, w, optima in zip(grid, rows, _solve_rows(_S5_TABLES, _S5_OUTCOMES, _S5_CONFIG, rows)):
         poly = (1.0 - optima[0], min(1.0 - optima[l] for l in (1, 2)))
         qt = (_optimum(w, 0)[1], min(_optimum(w, l)[1] for l in (1, 2)))
         points.append(CurvePoint(p, *poly, min(poly), *qt, min(qt)))

@@ -191,9 +191,9 @@ def gather_bellman(values, offsets, cfg):
     """The lattice's Bellman pass with one fancy-index gather and scatter per outcome position.
 
     The reference for the summation order of ``discrimination._bellman``:
-    every measurement's outcomes are added in outcome order.
-    ``offsets[a][mi]`` is the position of measurement mi's first outcome
-    among party a's table rows 1..J.
+    every measurement's outcomes are added in outcome order, and padded
+    rows are never read.  ``offsets[a][mi]`` is the position of measurement
+    mi's first outcome among party a's table rows 1..J.
     """
     arity = len(offsets)
     by_leader = []
@@ -225,14 +225,15 @@ def rebuilt_optimal_local(ens, cfg, leader=None):
     The lattice is the library's (``_tables``, ``_leaf_values`` and
     ``_bellman``).  At every node the rebuild reads each measurement's
     outcome count from ``cfg.measurements`` and its first table row from
-    ``_tables``' offsets, re-sums the candidates' outcomes left to right,
-    keeps a later candidate only when it is strictly larger, and gives each
-    node a fresh tuple of its effect rows.
+    ``_tables``' padded outcome counts, re-sums the candidates' outcomes
+    left to right, keeps a later candidate only when it is strictly larger,
+    and gives each node a fresh tuple of its effect rows.
     """
     arity = ens.composite.arity
-    tables, offsets, slots = _tables(ens, cfg, leader)
+    tables, outcomes = _tables(ens, cfg, leader)
+    offsets = [[mi * n for mi in range(len(per))] for n, per in zip(outcomes, cfg.measurements)]
     values = _leaf_values(ens.priors[None], tables)[..., 0]
-    by_leader = _bellman(values, slots, cfg)
+    by_leader = _bellman(values, outcomes, cfg)
 
     def build(index, remaining, weights):
         if not remaining or not weights.any():

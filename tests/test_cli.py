@@ -416,7 +416,7 @@ PINNED_STDOUT = {
         "identity channel 4x4, d=2\n"
         "NOT-IN margin 4\n"
         "witness_h,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1,-1,-1,-1,-1,1\n"
-        "witness_c,-0\n",
+        "witness_c,0\n",
     ),
     # the guessing inequality decides all 726 outside channels; one LP gives the printed witness
     ("signal", "--polygon", "5", "--m", "6", "--d", "1"): (

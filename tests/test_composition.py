@@ -1,5 +1,8 @@
 """Kronecker plumbing, product probabilities, and measurement completeness."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +25,16 @@ def test_kron_of_units_matches_numpy():
     u = np.array([0.0, 0.0, 1.0])
     assert_allclose(kron([u, u]), np.kron(u, u), atol=0)
     assert kron([u, u]).shape == (9,)
+
+
+def test_kron_equals_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for count in (2, 3, 4):
+        for lengths in itertools.product(range(1, 5), repeat=count):
+            # signed zeros and values whose products round, so any other order or operation shows
+            vecs = [rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -3.7], size=n) * rng.random(n) for n in lengths]
+            got, want = kron(vecs), reduce(np.kron, vecs)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_kron_empty_raises():

@@ -535,11 +535,12 @@ def test_bellman_adds_outcomes_in_the_reference_order(arity, measurements, state
         ens, cfg = mixed_outcome_instance(rng, arity, measurements, states)
         for adaptive in (True, False):
             variant = SearchConfig(cfg.measurements, adaptive)
-            tables, offsets, slots = _tables(ens, variant, None)
+            tables, outcomes = _tables(ens, variant, None)
+            offsets = [[mi * n for mi in range(len(per))] for n, per in zip(outcomes, variant.measurements)]
             one = _leaf_values(ens.priors[None], tables)
             for values in (one[..., 0], one, _leaf_values(_random_priors(prior_rng, ens, 5), tables)):
                 ours, reference = values.copy(), values.copy()
-                by_leader = _bellman(ours, slots, variant)
+                by_leader = _bellman(ours, outcomes, variant)
                 expected = gather_bellman(reference, offsets, variant)
                 assert np.array_equal(ours, reference)
                 assert all(np.array_equal(x, y) for x, y in zip(by_leader, expected, strict=True))
@@ -580,7 +581,7 @@ def test_tables_and_config_effects_are_read_only():
     cfg = SearchConfig.for_ensemble(ens)
     given = [np.array(m) for m in ens.composite.parts[0].measurements()]
     copied = SearchConfig((given,) * 3)
-    tables, _, _ = _tables(ens, cfg, None)
+    tables, _ = _tables(ens, cfg, None)
     effects = [m for c in (cfg, copied) for per in c.measurements for m in per]
     for array in (*tables, *effects):
         with pytest.raises(ValueError, match="read-only"):
@@ -597,11 +598,14 @@ def _validation_cases():
     incomplete = ms + (np.array([penta.effect(0), penta.effect(1)]),)
     nan_effect = ms + (np.array([[np.nan, 0.0, 0.5], [0.0, 0.0, 0.5]]),)
     no_outcomes = ms + (np.zeros((0, 3)),)
-    # np.concatenate refuses a party whose effects differ in dimension, after that party's
-    # own checks above and every earlier party's checks
+    # a measurement that is not an (outcomes, 3) array is refused after that party's own
+    # checks above and every earlier party's checks, before its completeness check
     mixed_dimensions = ms + (np.array([[0.0, 0.0, 0.0, 1.0]]),)
+    flat = (penta.unit_effect / 3.0,) + incomplete
+    stacked = (np.array([penta.measurement(0)]),) + incomplete
     over_bound = f"party 0 has {{}} measurements, above bound {MAX_MEASUREMENTS_PER_PARTY}".format
     incomplete_at = "incomplete measurement at party {}: effects do not sum to the unit".format
+    malformed_at = "malformed measurement at party {}: shape {}, not (outcomes, 3)".format
     return [
         ("empty-before-over-bound", ((), over, ms), None, "party 0 has no allowed measurements"),
         ("over-bound-before-empty", (over, (), ms), None, over_bound(20)),
@@ -611,6 +615,9 @@ def _validation_cases():
         ("incomplete-before-over-bound", (ms, incomplete, over), None, incomplete_at(1)),
         ("nan-effect", (ms, ms, nan_effect), None, incomplete_at(2)),
         ("no-outcomes", (no_outcomes, ms, ms), None, incomplete_at(0)),
+        ("mixed-dimensions", (ms, mixed_dimensions, incomplete), None, malformed_at(1, (1, 4))),
+        ("one-dimensional-before-incomplete", (flat, ms, ms), None, malformed_at(0, (3,))),
+        ("three-dimensional-before-incomplete", (ms, ms, stacked), None, malformed_at(2, (1, 2, 3))),
         ("incomplete-before-leader", (ms, ms, incomplete), 3, incomplete_at(2)),
         ("leader", (ms, ms, ms), 3, "leader 3 out of range"),
     ]
@@ -651,10 +658,16 @@ def _table_cases():
 
 def test_tables_equal_the_scalar_tables_bit_for_bit():
     for ens, cfg in _table_cases():
-        tables = _tables(ens, cfg, None)[0]
-        for table, want in zip(tables, scalar_tables(ens, cfg), strict=True):
-            assert np.array_equal(table, want) and np.array_equal(np.signbit(table), np.signbit(want))
+        tables, outcomes = _tables(ens, cfg, None)
+        for table, want, n, per in zip(tables, scalar_tables(ens, cfg), outcomes, cfg.measurements, strict=True):
+            # row 0, then measurement mi's real rows from 1 + mi * n; the rest pad with zeros
+            real = [0] + [1 + mi * n + o for mi, m in enumerate(per) for o in range(len(m))]
+            assert n == max(map(len, per)) and len(table) == 1 + len(per) * n
+            assert np.array_equal(table[real], want) and np.array_equal(np.signbit(table[real]), np.signbit(want))
+            assert not np.delete(table, real, axis=0).any()
             assert not table.flags.writeable
+            if len({len(m) for m in per}) == 1:  # one outcome count, binary included: no padded rows
+                assert len(table) == len(want)
 
 
 def test_parties_of_different_dimensions_solve_and_evaluate():
