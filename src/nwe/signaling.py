@@ -6,9 +6,9 @@ reads every polygon channel off one likelihood table.  The classical
 reference set for alphabet size d is the convex hull of the deterministic
 encode/decode compositions (input -> one of d symbols -> output), built as
 one read-only (K, m, n) 0/1 stack and checked once; ``in_classical_polytope``
-tests a channel against that stack directly.  The channels that
-``classical_vertices`` and ``polygon_channels`` return have read-only rows,
-each a view of one checked stack.  Closed
+tests a channel against that stack directly.  ``classical_vertices`` and
+``polygon_channels`` return a tuple of channels with read-only rows, views of
+one checked stack that the tuple carries and that membership reads.  Closed
 forms decide most channels: product weights recompose every channel when
 d >= min(m, n), column means recompose an equal-row channel when d = 1, and a
 greedy guessing set of d+1 pairs with no shared input or output proves
@@ -76,7 +76,21 @@ def _require_stochastic(rows: np.ndarray, ndim: int) -> None:
         raise ValueError("channel rows must each sum to 1")
 
 
-def _channels(stack: np.ndarray) -> list:
+class _Listed(tuple):
+    """Channels cut from one checked, read-only (K, m, n) stack, in its order; ``stack`` is that stack.
+
+    A tuple cannot be reordered or extended, so ``stack`` always matches it; a slice,
+    ``list(...)`` or ``reversed(...)`` of it is a plain sequence without ``stack``.
+    """
+
+    stack: np.ndarray
+
+    def __reduce__(self):
+        # a pickled or copied tuple is rebuilt by _channels, so its rows are again views of its own read-only stack
+        return _channels, (self.stack,)
+
+
+def _channels(stack: np.ndarray) -> _Listed:
     """One Channel per slice of a new (K, m, n) float stack, checked once as a whole; rows are read-only views."""
     _require_stochastic(stack, 3)
     _frozen(stack)
@@ -85,7 +99,9 @@ def _channels(stack: np.ndarray) -> list:
         ch = object.__new__(Channel)  # the whole stack is checked, so no slice is checked again
         object.__setattr__(ch, "rows", rows)
         channels.append(ch)
-    return channels
+    listed = _Listed(channels)
+    listed.stack = stack
+    return listed
 
 
 def _require_sizes(**sizes) -> None:
@@ -101,13 +117,13 @@ def gpt_channel(sys: GptSystem, encodings, decoding, eps: float = DEFAULT_EPS) -
     return Channel(likelihoods(decoding, encodings, eps).T)
 
 
-def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
+def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> tuple:
     """Distinct channels of m pure-state encodings and one binary extremal decoding.
 
     Each is kept where its entries, rounded to 12 decimals, first occur in the order
     encodings (``itertools.product``) x measurements; above VERTEX_ENUMERATION_BOUND
-    channels, VertexBoundError is raised before anything is built.  The channels'
-    rows are read-only.
+    channels, VertexBoundError is raised before anything is built.  Returns a
+    tuple whose channels' rows are read-only views of one stack (``_Listed``).
     """
     _require_sizes(m=m)
     count = len(sys.extremal_measurements)
@@ -126,8 +142,8 @@ def polygon_channels(sys: GptSystem, m: int, eps: float = DEFAULT_EPS) -> list:
     return _channels(generated[list(first.values())])
 
 
-def classical_vertices(m: int, n: int, d: int) -> list:
-    """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order (read-only rows)."""
+def classical_vertices(m: int, n: int, d: int) -> tuple:
+    """All distinct 0/1 channels realizable with d noiseless symbols, in first-seen strategy order (see ``_Listed``)."""
     return _channels(_vertex_stack(m, n, d))
 
 
@@ -167,7 +183,7 @@ class MembershipResult:
 
 def _convex_certificate(V, x, weights):
     """An inside result if weights are convex coefficients recomposing x within MEMBERSHIP_TOL, else None."""
-    err = max(float(np.max(np.abs(V.T @ weights - x))), abs(float(weights.sum()) - 1.0), -float(weights.min()))
+    err = max(float(abs(V.T @ weights - x).max()), abs(float(weights.sum()) - 1.0), -float(weights.min()))
     return MembershipResult(True, weights, None, err) if err <= MEMBERSHIP_TOL else None
 
 
@@ -198,27 +214,38 @@ def _guessing_set(rows, d):
 
 
 def _vertex_matrix(ch: Channel, vertices) -> np.ndarray:
-    """The (K, m*n) matrix of flattened vertices, after checking they all have ch's shape."""
-    if (shapes := {v.rows.shape for v in vertices}) != {ch.rows.shape}:
+    """The (K, m*n) matrix of flattened vertices, read once, after checking they all have ch's shape.
+
+    For the channels ``_channels`` returns, it is a read-only view of their stack.
+    """
+    if isinstance(vertices, _Listed):
+        rows = vertices.stack
+        shapes = {rows.shape[1:]}
+    else:
+        rows = [v.rows for v in vertices]
+        shapes = {r.shape for r in rows}
+    if shapes != {ch.rows.shape}:
         raise ValueError(f"vertex shapes {sorted(shapes)} do not match the channel's shape {ch.rows.shape}")
-    return np.array([v.rows.ravel() for v in vertices])
+    return np.asarray(rows).reshape(len(rows), -1)
 
 
 def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResult:
-    """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty list of ch's shape).
+    """Decide whether ch is a convex combination of the d-symbol vertices (a nonempty sequence of ch's shape).
 
     The closed forms come first.  Membership is certified by convex weights
     within MEMBERSHIP_TOL: the product weights, or for d = 1 the column
     means.  Exclusion is certified by a greedy guessing witness whose margin
     exceeds MEMBERSHIP_TOL and that every listed vertex satisfies.  Any
     other channel is decided by ``separation_lp``, which raises
-    InconclusiveMembership when neither of its margins is met.
+    InconclusiveMembership when neither of its margins is met.  Without
+    vertices, the d-symbol stack is built here; any iterable is read once.
     """
     if vertices is None:
         stack = _vertex_stack(*ch.rows.shape, d)
+        V = stack.reshape(len(stack), -1)  # (K, m*n)
     else:
-        stack = _vertex_matrix(ch, vertices).reshape(-1, *ch.rows.shape)
-    V = stack.reshape(len(stack), -1)  # (K, m*n)
+        V = _vertex_matrix(ch, vertices)
+        stack = V.reshape(-1, *ch.rows.shape)
     x = ch.rows.ravel()
     # product weights w_f = prod_x p(f(x)|x) recompose ch when the vertices are every deterministic
     # channel, as for d >= min(m, n) (Ziegler, Lectures on Polytopes); else the certificate decides
@@ -234,12 +261,13 @@ def in_classical_polytope(ch: Channel, d: int, vertices=None) -> MembershipResul
 
 
 def separation_lp(ch: Channel, vertices) -> MembershipResult:
-    """Decide membership of ch in the hull of vertices (a nonempty list of ch's shape) by one HiGHS LP.
+    """Decide membership of ch in the hull of vertices (a nonempty sequence of ch's shape) by one HiGHS LP.
 
     Maximizes h.ch - c subject to h.v <= c for every vertex v and |h| <= 1
     entrywise.  A margin above WITNESS_MARGIN returns that witness; otherwise
     the row duals, checked by the convex certificate, return the weights.
     Raises InconclusiveMembership when the solve fails or neither margin is met.
+    Any iterable of vertices is read once.
     """
     return _separate(ch, _vertex_matrix(ch, vertices))
 

@@ -1,8 +1,10 @@
 """Channels from single-system transmission and classical polytope membership."""
 
+import copy
 import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -78,10 +80,15 @@ def test_channel_rejects_non_finite_rows(row, message):
 def test_listed_channel_rows_are_read_only_views_of_one_stack(channels):
     listed = channels()
     base = listed[0].rows.base
+    assert isinstance(listed, tuple) and listed.stack is base
     for ch in listed:
         assert ch.rows.base is base
         with pytest.raises(ValueError, match="read-only"):
             ch.rows[0, 0] = 0.5
+    for copied in (pickle.loads(pickle.dumps(listed)), copy.deepcopy(listed)):
+        assert type(copied) is type(listed) and not copied.stack.flags.writeable
+        assert copied.stack.tobytes() == base.tobytes()
+        assert all(ch.rows.base is copied.stack for ch in copied)
 
 
 @pytest.mark.parametrize(
@@ -305,10 +312,13 @@ def _assert_certificate(result, ch, vertices):
     "vertices, shapes",
     [
         (classical_vertices(2, 3, 2), r"\[\(2, 3\)\]"),  # same size, transposed shape
+        (list(classical_vertices(2, 3, 2)), r"\[\(2, 3\)\]"),
         (classical_vertices(2, 2, 2), r"\[\(2, 2\)\]"),
+        ([*classical_vertices(2, 2, 2), *classical_vertices(3, 2, 2)], r"\[\(2, 2\), \(3, 2\)\]"),
         ([], r"\[\]"),
+        (iter([]), r"\[\]"),
     ],
-    ids=["transposed", "smaller", "empty"],
+    ids=["transposed", "transposed-list", "smaller", "mixed-list", "empty", "empty-iterator"],
 )
 def test_vertices_must_be_a_nonempty_list_of_the_channel_shape(vertices, shapes):
     ch = Channel(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
@@ -458,6 +468,46 @@ def test_membership_is_the_same_with_and_without_a_vertex_list():
     # the LP fallback runs the same body on the stack as separation_lp on the list
     ch = _greedy_miss()
     _assert_same_result(in_classical_polytope(ch, 1), separation_lp(ch, classical_vertices(2, 3, 1)))
+
+
+@pytest.mark.parametrize("cases", [_grid_cases, _certify_channels], ids=["grid", "certify"])
+def test_membership_reads_the_listed_stack_as_it_reads_a_list_or_an_iterator(cases):
+    outside = 0
+    for ch, d, vertices in cases():
+        want = in_classical_polytope(ch, d, list(vertices))
+        _assert_same_result(in_classical_polytope(ch, d, vertices), want)
+        _assert_same_result(in_classical_polytope(ch, d, iter(vertices)), want)  # read once
+        if not want.inside:
+            outside += 1
+            lp = separation_lp(ch, list(vertices))
+            _assert_same_result(separation_lp(ch, vertices), lp)
+            _assert_same_result(separation_lp(ch, iter(vertices)), lp)
+    assert outside > 0
+
+
+def test_weights_follow_the_order_of_the_sequence_passed():
+    checked = 0
+    for ch, d, vertices in _certify_channels():
+        if d < min(ch.rows.shape):
+            continue  # product weights, computed vertex by vertex, so reversing them is exact
+        want = in_classical_polytope(ch, d, vertices)
+        got = in_classical_polytope(ch, d, list(reversed(vertices)))
+        assert got.inside and want.inside
+        assert got.weights.tobytes() == want.weights[::-1].tobytes()
+        checked += 1
+    assert checked > 100
+
+
+def test_vertex_matrix_is_a_view_of_the_listed_stack_only():
+    vertices = classical_vertices(3, 3, 2)
+    ch = Channel(np.eye(3))
+    V = signaling._vertex_matrix(ch, vertices)
+    assert np.shares_memory(V, vertices.stack) and not V.flags.writeable
+    for plain in (vertices[:], list(vertices), reversed(vertices)):
+        assert not hasattr(plain, "stack")
+        built = signaling._vertex_matrix(ch, plain)
+        assert not np.shares_memory(built, vertices.stack)
+    assert np.array_equal(built, V[::-1])
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2), (3, 5)])
